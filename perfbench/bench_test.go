@@ -159,14 +159,11 @@ func TestFailedJobsCounted(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	m := &daemonMix{seed: 1, toy: true, batch: 3, poll: time.Millisecond, client: srv.Client(), d: &daemonProc{url: srv.URL}}
-	for i := 0; i < hotCores; i++ {
-		b, err := coreBench(daemonCore(uint64(i), true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.hot = append(m.hot, b)
+	pool, err := corePool(1, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	m := &daemonMix{seed: 1, toy: true, batch: 3, poll: time.Millisecond, pool: pool, client: srv.Client(), d: &daemonProc{url: srv.URL}}
 	pr, err := m.pass(context.Background(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +181,39 @@ func TestFailedJobsCounted(t *testing.T) {
 	}
 	if want := 2.0 / 4; got["ok_ratio"].Value != want { // three jobs plus the pin check
 		t.Errorf("ok_ratio = %v, want %v", got["ok_ratio"].Value, want)
+	}
+}
+
+// TestDaemonMixShares checks that every pass holds the specified job
+// shares, with the ATPG and coverage jobs spread evenly over the pool.
+func TestDaemonMixShares(t *testing.T) {
+	pool, err := corePool(5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &daemonMix{seed: 5, batch: 100, pool: pool}
+	for idx := 0; idx < 3; idx++ {
+		kinds := map[string]int{}
+		type job struct{ kind, core string }
+		perCore := map[job]int{}
+		for _, r := range m.requests(idx) {
+			kinds[r.Kind]++
+			if r.Bench != "" {
+				perCore[job{r.Kind, r.Bench}]++
+			}
+		}
+		if kinds["encode"] != 50 || kinds["atpg"] != 30 || kinds["coverage"] != 20 {
+			t.Errorf("pass %d: job kinds %v, want 50 encode, 30 atpg, 20 coverage", idx, kinds)
+		}
+		want := map[string]int{"atpg": 30 / poolCores, "coverage": 20 / poolCores}
+		if len(perCore) != 2*poolCores {
+			t.Errorf("pass %d: %d (kind, core) pairs, want %d", idx, len(perCore), 2*poolCores)
+		}
+		for j, n := range perCore {
+			if n != want[j.kind] {
+				t.Errorf("pass %d: a core got %d %s jobs, want %d", idx, n, j.kind, want[j.kind])
+			}
+		}
 	}
 }
 

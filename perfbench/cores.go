@@ -86,6 +86,8 @@ func (a *atpgCore) setup(ctx context.Context, t *tracer, root int) error {
 	return err
 }
 
+func (a *atpgCore) reset() { a.core, a.tables = coreInput{cfg: a.core.cfg}, nil }
+
 func (a *atpgCore) pass(ctx context.Context, t *tracer, idx int) (*passResult, error) {
 	root := t.root("bench.pass", phasePass, idx)
 	defer t.end(root)
@@ -188,6 +190,11 @@ func (g *faultGrade) setup(ctx context.Context, t *tracer, root int) error {
 		}
 	})
 	return nil
+}
+
+func (g *faultGrade) reset() {
+	g.core = coreInput{cfg: g.core.cfg}
+	clear(g.patterns)
 }
 
 func (g *faultGrade) pass(ctx context.Context, t *tracer, idx int) (*passResult, error) {

@@ -133,25 +133,31 @@ type daemonMix struct {
 	toy      bool
 	batch    int // jobs per pass
 	poll     time.Duration
-	hot      []string // .bench text of the shared cores
+	pool     []string // .bench text of the seeded cores the ATPG and coverage jobs use
 	client   *http.Client
 	d        *daemonProc
 	starts   int
 	jobs     []*jobRecord
 }
 
-// Job-mix parameters. The core sizes keep every job CI-scale, so HTTP,
+// The job mix. The shares are those the workload was specified with:
+// about half encode jobs, 30 % ATPG and 20 % coverage, with ATPG and
+// coverage jobs on one of a small pool of seeded cores. They are a
+// synthetic guess; no recorded stateskipd traffic exists to derive a mix
+// or repeat rates from. The core sizes keep every job CI-scale, so HTTP,
 // the journal, the queue and the caches are a visible share of a job.
+const (
+	encodePct   = 50
+	atpgPct     = 30 // coverage jobs take the rest
+	poolCores   = 10
+	covPatterns = 512 // patterns per coverage job
+)
+
 var (
 	ciCircuits = []string{"s9234", "s13207", "s15850", "s38417", "s38584"}
 	windowLens = []int{8, 16, 32}
 	segSizes   = []int{2, 4}
 	speedups   = []int{4, 8}
-)
-
-const (
-	hotCores    = 8   // shared cores, generated from coreSeed for every seed
-	covPatterns = 512 // patterns per coverage job
 )
 
 func daemonCore(seed uint64, toy bool) netlist.RandomConfig {
@@ -184,14 +190,24 @@ func newDaemonMix(cfg config) (*daemonMix, error) {
 	if cfg.toy {
 		m.batch = 12
 	}
-	for i := 0; i < hotCores; i++ {
-		b, err := coreBench(daemonCore(coreSeed+uint64(i), cfg.toy))
+	if m.pool, err = corePool(cfg.seed, cfg.toy); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// corePool generates the seed's pool of cores as .bench text.
+func corePool(seed uint64, toy bool) ([]string, error) {
+	r := prng.New(seed ^ 0x5eed_c0de)
+	pool := make([]string, poolCores)
+	for i := range pool {
+		b, err := coreBench(daemonCore(r.Uint64(), toy))
 		if err != nil {
 			return nil, err
 		}
-		m.hot = append(m.hot, b)
+		pool[i] = b
 	}
-	return m, nil
+	return pool, nil
 }
 
 func coreBench(rc netlist.RandomConfig) (string, error) {
@@ -206,20 +222,15 @@ func coreBench(rc netlist.RandomConfig) (string, error) {
 	return buf.String(), nil
 }
 
-// requests returns pass idx's job sequence: 60% encode jobs (with State
-// Skip reduction), 25% ATPG and 15% coverage, in a seeded order. Encode
-// jobs are the fast ones once their encoding is cached; keeping them
-// clearly above half puts the median job inside their latency population
-// rather than on its edge. Every pass has the same mix and spreads its
-// ATPG and coverage jobs evenly over the shared cores, so seeds differ in
-// order and parameters but not in how much work a pass holds. Two ATPG
-// and two coverage jobs per pass use cores no earlier pass used; pass k's
-// new cores are the same for every seed, for the same reason.
-func (m *daemonMix) requests(idx int) ([]jobRequest, error) {
+// requests returns pass idx's job sequence in a seeded order: encodePct
+// percent encode jobs (with State Skip reduction) on seeded parameters,
+// then atpgPct percent ATPG jobs and the rest coverage jobs. The ATPG and
+// coverage jobs each go round the pool, so every pass holds the same
+// number of jobs of each kind on each core.
+func (m *daemonMix) requests(idx int) []jobRequest {
 	r := prng.New(m.seed ^ uint64(idx+1)*0x9e3779b97f4a7c15)
-	nEnc, nATPG := m.batch*60/100, m.batch*25/100
+	nEnc, nATPG := m.batch*encodePct/100, m.batch*atpgPct/100
 	reqs := make([]jobRequest, m.batch)
-	fresh := 0
 	for j := range reqs {
 		req := &reqs[j]
 		switch {
@@ -229,34 +240,25 @@ func (m *daemonMix) requests(idx int) ([]jobRequest, error) {
 			req.L = windowLens[r.Intn(len(windowLens))]
 			req.S = segSizes[r.Intn(len(segSizes))]
 			req.K = speedups[r.Intn(len(speedups))]
-			continue
 		case j < nEnc+nATPG:
+			i := j - nEnc
 			req.Kind = "atpg"
 			req.Backtrack = 20
-			req.Backtrace = []string{"scoap", "multi"}[j%2]
+			req.Backtrace = []string{"scoap", "multi"}[i/len(m.pool)%2]
+			req.Bench = m.pool[i%len(m.pool)]
+			req.Seed = m.seed + 1
 		default:
 			req.Kind = "coverage"
 			req.Patterns = covPatterns
-		}
-		req.Seed = m.seed + 1
-		req.Bench = m.hot[j%len(m.hot)]
-		if f := j - nEnc; f < 2 || f-nATPG >= 0 && f-nATPG < 2 {
-			b, err := coreBench(daemonCore(coreSeed+uint64(hotCores+4*idx+fresh), m.toy))
-			if err != nil {
-				return nil, err
-			}
-			req.Bench = b
-			fresh++
+			req.Bench = m.pool[(j-nEnc-nATPG)%len(m.pool)]
+			req.Seed = m.seed + 1
 		}
 	}
-	for j := len(reqs) - 1; j > 0; j-- {
-		k := r.Intn(j + 1)
-		reqs[j], reqs[k] = reqs[k], reqs[j]
-	}
+	r.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	for j := range reqs {
 		reqs[j].IdempotencyKey = fmt.Sprintf("s%d-p%d-j%d", m.seed, idx, j)
 	}
-	return reqs, nil
+	return reqs
 }
 
 // reset stops the daemon a previous set-up repetition started.
@@ -268,6 +270,9 @@ func (m *daemonMix) reset() {
 }
 
 // setup starts a daemon on a fresh journal and waits until it is ready.
+// Its time is the daemon's CPU time until then (setupCPU): the wall time
+// of a start is mostly exec, page faults and the fsync that creates the
+// journal, which vary with the host far more than the daemon's own work.
 func (m *daemonMix) setup(ctx context.Context, t *tracer, root int) error {
 	m.starts++
 	var err error
@@ -278,10 +283,7 @@ func (m *daemonMix) setup(ctx context.Context, t *tracer, root int) error {
 }
 
 func (m *daemonMix) pass(ctx context.Context, t *tracer, idx int) (*passResult, error) {
-	reqs, err := m.requests(idx)
-	if err != nil {
-		return nil, err
-	}
+	reqs := m.requests(idx)
 	recs := make([]*jobRecord, len(reqs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -410,6 +412,8 @@ func (m *daemonMix) call(ctx context.Context, method, path string, body []byte, 
 }
 
 func (m *daemonMix) pid() int { return m.d.cmd.Process.Pid }
+
+func (m *daemonMix) setupCPU() float64 { return m.d.readyCPU }
 
 // check reads the daemon's counters, restarts it on its journal, and
 // checks every job twice: the restarted daemon must return it done with
@@ -547,6 +551,9 @@ type daemonProc struct {
 	url     string
 	journal string
 	done    chan error // receives Wait's result once the process exits
+	// readyCPU is the CPU time the daemon had used, in seconds, when its
+	// /readyz first answered 200.
+	readyCPU float64
 }
 
 // addrWriter collects the daemon's standard error and reports the listen
@@ -600,6 +607,10 @@ func startDaemon(ctx context.Context, bin, journal string) (*daemonProc, error) 
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
+				if d.readyCPU, err = cpuSeconds(cmd.Process.Pid); err != nil {
+					d.stop() //nolint:errcheck // already failing
+					return nil, err
+				}
 				return d, nil
 			}
 		}
@@ -610,7 +621,7 @@ func startDaemon(ctx context.Context, bin, journal string) (*daemonProc, error) 
 		case <-ctx.Done():
 			d.stop() //nolint:errcheck // already failing
 			return nil, ctx.Err()
-		case <-time.After(time.Millisecond):
+		case <-time.After(200 * time.Microsecond):
 		}
 	}
 }

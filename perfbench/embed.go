@@ -63,7 +63,6 @@ func newEmbed(cfg config) *embed {
 // permutation keeps the set's encodability and changes only the greedy
 // packing.
 func (e *embed) setup(ctx context.Context, t *tracer, root int) error {
-	e.sets = e.sets[:0]
 	for _, name := range e.circuits {
 		p, err := benchprofile.ByName(name, e.scale)
 		if err != nil {
@@ -82,6 +81,8 @@ func (e *embed) setup(ctx context.Context, t *tracer, root int) error {
 	}
 	return nil
 }
+
+func (e *embed) reset() { e.sets = nil }
 
 func (e *embed) pass(ctx context.Context, t *tracer, idx int) (*passResult, error) {
 	root := t.root("bench.pass", phasePass, idx)

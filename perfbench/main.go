@@ -23,18 +23,29 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 )
 
-// setupReps is how many times a run repeats its set-up; setup_s is the
-// median.
-const setupReps = 9
+// A run repeats its set-up at least minSetupReps times, and goes on until
+// setupBudget has passed or it has made maxSetupReps; setup_s is the
+// median. Cheap set-ups (a few milliseconds) get many repetitions, so
+// their median does not rest on a handful of readings.
+const (
+	minSetupReps = 9
+	maxSetupReps = 51
+	setupBudget  = 2 * time.Second
+)
 
 // maxPasses caps the passes of one measured phase, so a faster program
 // cannot move the tail percentile a run reports: batch workloads stay
 // below 11 requests (tail = slowest pass) and daemon_mix below 1000 jobs
 // (tail = p90).
 const maxPasses = 9
+
+// daemonMemPasses is how many of daemon_mix's first passes its peak
+// memory is taken over. Four passes fit a 15 s window on a slow host.
+const daemonMemPasses = 4
 
 // config is one invocation's settings.
 type config struct {
@@ -59,12 +70,15 @@ type passResult struct {
 	problems  []string           // what the failed operations got wrong
 }
 
-// workload is one benchmark workload. setup is called setupReps times and
-// the state of the last call is kept; pass runs the measured work and
-// opens its own root spans; check verifies the first pass's outputs (and
-// whatever else needs the finished run) and adds its failures to rep.
+// workload is one benchmark workload. setup is called repeatedly,
+// with reset dropping the previous call's state before each repetition
+// after the first, and the state of the last call is kept. pass runs the
+// measured work and opens its own root spans; check verifies the first
+// pass's outputs (and whatever else needs the finished run) and adds its
+// failures to rep.
 type workload interface {
 	setup(ctx context.Context, t *tracer, root int) error
+	reset()
 	pass(ctx context.Context, t *tracer, idx int) (*passResult, error)
 	// pid is the process doing the work: the benchmark, or the daemon.
 	pid() int
@@ -72,22 +86,25 @@ type workload interface {
 	close()
 }
 
-// resetter is implemented by a workload whose set-up leaves something
-// running that must be released, untimed, before the next repetition.
-type resetter interface{ reset() }
+// setupCPUer is implemented by a workload whose set-up work runs in
+// another process. setupCPU returns the CPU seconds that process spent
+// in the last set-up.
+type setupCPUer interface{ setupCPU() float64 }
 
 // report accumulates a run.
 type report struct {
 	Attempted int                `json:"attempted"`
 	Failed    int                `json:"failed"`
-	SetupS    []float64          `json:"setup_s"`            // CPU seconds in-process, wall seconds for the daemon
-	PassS     []float64          `json:"pass_s"`             // untraced passes
+	SetupS    []float64          `json:"setup_s"`            // CPU seconds of the process doing the set-up
+	PassS     []float64          `json:"pass_s"`             // untraced timed passes
 	TracedS   []float64          `json:"traced_pass_s"`      // traced passes
 	LatS      []float64          `json:"-"`                  // untraced request latencies
 	Requests  int                `json:"requests"`           // len(LatS)
 	TailPct   float64            `json:"job_p90_percentile"` // the percentile tail() picked for job_p90_s
 	MemMB     float64            `json:"peak_mem_mb"`
-	CPUS      []float64          `json:"request_cpu_s"` // per untraced pass: CPU seconds per request
+	MemPassS  float64            `json:"memory_pass_s,omitempty"`      // wall time of the memory pass
+	DaemonMem []float64          `json:"daemon_peak_rss_mb,omitempty"` // per untraced pass
+	CPUS      []float64          `json:"request_cpu_s"`                // per untraced pass: CPU seconds per request
 	Counters  map[string]float64 `json:"counters"`
 	Layer     map[string]float64 `json:"-"`
 	Problems  []string           `json:"problems,omitempty"`
@@ -140,7 +157,7 @@ func mainErr(args []string, stdout io.Writer) (int, error) {
 	var trace int
 	fs.StringVar(&cfg.workload, "workload", "", "workload: embed_paper, atpg_core, fault_grade or daemon_mix")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "workload seed; the same seed gives the same inputs")
-	fs.IntVar(&seconds, "seconds", 20, "measurement window in seconds")
+	fs.IntVar(&seconds, "seconds", 15, "measurement window in seconds")
 	fs.IntVar(&trace, "trace", 0, "1 adds a traced pass and reports per-layer metrics")
 	fs.BoolVar(&cfg.toy, "toy", false, "tiny inputs (smoke test only)")
 	fs.StringVar(&cfg.state, "state", ".bench_build", "directory for pins, records, traces and scratch files")
@@ -213,7 +230,9 @@ func newWorkload(cfg config) (workload, error) {
 }
 
 // runWorkload sets up, runs untraced passes for the window (half of it
-// when tracing, then traced passes for the other half) and checks.
+// when tracing, then traced passes for the other half) and checks. An
+// untraced run of a workload that works in the benchmark's own process
+// first runs a memory pass, outside the window and the timings.
 func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 	defer w.close()
 	rep := newReport()
@@ -221,49 +240,51 @@ func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 	if cfg.trace {
 		t = newTracer()
 	}
-	// Set-up is timed in CPU seconds when it runs in the benchmark's own
-	// process, like request_cpu_s. Starting the daemon is mostly waiting,
-	// so daemon_mix times it on the wall clock.
-	var setupWall, setupCPU []float64
-	for i := 0; i < setupReps; i++ {
-		if r, ok := w.(resetter); ok && i > 0 {
-			r.reset()
+	// Set-up is timed in CPU seconds of the process that does it: the
+	// benchmark for the batch workloads, the daemon for daemon_mix. Each
+	// repetition starts from a collected heap, with the previous
+	// repetition's state dropped, so every repetition does the same work.
+	setupStart := time.Now()
+	for i := 0; i < minSetupReps || i < maxSetupReps && time.Since(setupStart) < setupBudget; i++ {
+		if i > 0 {
+			w.reset()
 		}
+		runtime.GC()
 		cpu0, err := cpuSeconds(os.Getpid())
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
 		root := t.root("bench.setup", phaseSetup, i)
 		err = w.setup(ctx, t, root)
 		t.end(root)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		setupWall = append(setupWall, time.Since(t0).Seconds())
 		cpu1, err := cpuSeconds(os.Getpid())
 		if err != nil {
 			return nil, err
 		}
-		setupCPU = append(setupCPU, cpu1-cpu0)
+		cpu := cpu1 - cpu0
+		if o, ok := w.(setupCPUer); ok {
+			cpu = o.setupCPU()
+		}
+		rep.SetupS = append(rep.SetupS, cpu)
+	}
+	pid := w.pid()
+	self := pid == os.Getpid()
+	idx := 0
+	if self && !cfg.trace {
+		mb, err := rep.memoryPass(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		rep.MemMB = mb
+		idx++
 	}
 	window := cfg.window
 	if cfg.trace {
 		window /= 2
 	}
-	// Peak memory is the largest live heap at the layer boundaries of the
-	// first pass for the benchmark's own process, and the median over
-	// untraced passes of the daemon's peak resident set during each pass.
-	pid := w.pid()
-	self := pid == os.Getpid()
-	rep.SetupS = setupWall
-	if self {
-		rep.SetupS = setupCPU
-	}
-	probe := newMemProbe()
-	var daemonMem []float64
-	var err error
-	idx := 0
 	passes := func(t *tracer) ([]float64, error) {
 		var durs []float64
 		start := time.Now()
@@ -277,12 +298,8 @@ func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 			if err != nil {
 				return nil, err
 			}
-			pt := t
-			if idx == 0 && self {
-				pt = probe
-			}
 			t0 := time.Now()
-			pr, err := w.pass(ctx, pt, idx)
+			pr, err := w.pass(ctx, t, idx)
 			if err != nil {
 				return nil, fmt.Errorf("pass %d: %w", idx, err)
 			}
@@ -292,24 +309,18 @@ func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 				return nil, err
 			}
 			durs = append(durs, d)
-			switch {
-			case self && idx == 0:
-				rep.MemMB = float64(probe.peakHeap) / (1 << 20)
-			case !self && t == nil:
+			if !self && t == nil {
 				m, err := peakRSSMB(pid)
 				if err != nil {
 					return nil, err
 				}
-				daemonMem = append(daemonMem, m)
+				rep.DaemonMem = append(rep.DaemonMem, m)
 			}
 			idx++
 			if pr.latencies == nil {
 				pr.latencies = []float64{d}
 			}
-			rep.Attempted += pr.attempted
-			rep.Failed += pr.failed
-			rep.Problems = append(rep.Problems, pr.problems...)
-			rep.addCounters(pr.counters)
+			rep.addPass(pr)
 			if t == nil {
 				rep.LatS = append(rep.LatS, pr.latencies...)
 				rep.CPUS = append(rep.CPUS, (cpu1-cpu0)/float64(len(pr.latencies)))
@@ -319,11 +330,16 @@ func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 		}
 		return durs, nil
 	}
+	var err error
 	if rep.PassS, err = passes(nil); err != nil {
 		return nil, err
 	}
 	if !self {
-		rep.MemMB = median(daemonMem)
+		// The daemon's peak memory is the median of its peak resident set
+		// during each of the first daemonMemPasses untraced passes. The
+		// daemon keeps every finished job, so later passes run with more
+		// memory held, and how many passes fit the window varies.
+		rep.MemMB = median(rep.DaemonMem[:min(len(rep.DaemonMem), daemonMemPasses)])
 	}
 	if cfg.trace {
 		if rep.TracedS, err = passes(t); err != nil {
@@ -337,6 +353,34 @@ func runWorkload(ctx context.Context, cfg config, w workload) (*report, error) {
 		rep.finishTrace(cfg, t)
 	}
 	return rep, nil
+}
+
+// memoryPass runs one untimed, untraced pass while a heapSampler watches
+// the live heap, and returns the pass's peak working memory in MiB: the
+// largest live heap seen, less the live heap held when the pass began.
+// That leaves out the set-up's inputs, the benchmark's own generated data
+// among them. Its outputs are checked and its exact counters compared
+// like those of any other pass.
+func (r *report) memoryPass(ctx context.Context, w workload) (float64, error) {
+	base := liveHeap()
+	s := startHeapSampler()
+	t0 := time.Now()
+	pr, err := w.pass(ctx, nil, 0)
+	r.MemPassS = time.Since(t0).Seconds()
+	peak := s.stop()
+	if err != nil {
+		return 0, fmt.Errorf("memory pass: %w", err)
+	}
+	r.addPass(pr)
+	return float64(max(peak, base)-base) / (1 << 20), nil
+}
+
+// addPass merges a pass's operation counts, problems and exact results.
+func (r *report) addPass(pr *passResult) {
+	r.Attempted += pr.attempted
+	r.Failed += pr.failed
+	r.Problems = append(r.Problems, pr.problems...)
+	r.addCounters(pr.counters)
 }
 
 // finishTrace folds the spans into per-layer metrics and writes the trace

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"runtime"
-	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -37,25 +35,18 @@ func (s span) layer() string {
 func (s span) dur() time.Duration { return s.End - s.Start }
 
 // tracer keeps spans in memory until the run ends. A nil *tracer records
-// nothing, so untraced passes pay one nil check per boundary. A memory
-// probe (newMemProbe) records no spans either; instead it collects
-// garbage at the end of every span and keeps the largest live heap seen.
+// nothing, so untraced passes pay one nil check per boundary.
 type tracer struct {
 	origin time.Time
-	record bool
 	mu     sync.Mutex
 	spans  []span // guarded by mu
-	// peakHeap is the largest live heap a probe has seen, in bytes.
-	peakHeap uint64 // guarded by mu
 }
 
-func newTracer() *tracer { return &tracer{origin: time.Now(), record: true} }
-
-func newMemProbe() *tracer { return &tracer{} }
+func newTracer() *tracer { return &tracer{origin: time.Now()} }
 
 // begin opens a span under parent (-1 for a root) and returns its handle.
 func (t *tracer) begin(name, label string, parent int) int {
-	if t == nil || !t.record {
+	if t == nil {
 		return -1
 	}
 	now := time.Since(t.origin)
@@ -78,14 +69,7 @@ func (t *tracer) root(name, phase string, run int) int {
 
 // end closes a span opened by begin or root.
 func (t *tracer) end(id int) {
-	if t == nil {
-		return
-	}
-	if !t.record {
-		t.sampleHeap()
-		return
-	}
-	if id < 0 {
+	if t == nil || id < 0 {
 		return
 	}
 	now := time.Since(t.origin)
@@ -94,22 +78,10 @@ func (t *tracer) end(id int) {
 	t.mu.Unlock()
 }
 
-// sampleHeap collects garbage and records the live heap, so the peak is
-// taken at layer boundaries and does not depend on where collections
-// happen to fall among short-lived allocations.
-func (t *tracer) sampleHeap() {
-	runtime.GC()
-	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-	metrics.Read(s)
-	t.mu.Lock()
-	t.peakHeap = max(t.peakHeap, s[0].Value.Uint64())
-	t.mu.Unlock()
-}
-
 // add records a finished span whose interval was measured elsewhere (the
 // daemon's job timestamps), clipped to its parent's interval.
 func (t *tracer) add(name, label string, parent int, start, end time.Time) {
-	if t == nil || !t.record {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -131,7 +103,7 @@ func (t *tracer) wrap(name, label string, parent int, f func()) {
 }
 
 func (t *tracer) snapshot() []span {
-	if t == nil || !t.record {
+	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
