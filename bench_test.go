@@ -10,6 +10,7 @@
 package stateskiplfsr
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -172,7 +173,7 @@ func BenchmarkEncode(b *testing.B) {
 				b.ReportAllocs()
 				var enc *encoder.Encoding
 				for i := 0; i < b.N; i++ {
-					e, _, err := encoder.EncodeAutoCached(p.LFSRSize, p.Width, p.Chains, L, set, workers, cache)
+					e, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, workers, cache)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -218,7 +219,7 @@ func BenchmarkCoverage(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var cov float64
 			for i := 0; i < b.N; i++ {
-				_, c, err := faultsim.CoverageOpts(u, patterns, faultsim.Options{Workers: workers})
+				_, c, err := faultsim.CoverageCtx(context.Background(), u, patterns, faultsim.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -51,8 +51,8 @@ import (
 // encTables memoizes the encoder's shared symbolic tables for the lifetime
 // of the process. A single CLI invocation encodes once, so the cache pays
 // off when this binary grows multi-encode subcommands (or is driven as a
-// library); today it mainly routes `encode` through the same
-// EncodeAutoCached path the experiment drivers use.
+// library); today it mainly routes `encode` through the same cached
+// EncodeAutoCtx path the experiment drivers use.
 var encTables = encoder.NewTablesCache()
 
 func main() {

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -70,7 +71,7 @@ func main() {
 		res.Coverage*100, sum.MeanSpecified, sum.MaxSpecified, sum.Width)
 
 	// 3. Independent verification of the shipped patterns.
-	_, cov, err := faultsim.CoverageOpts(universe, res.Patterns, faultsim.Options{Workers: *workers})
+	_, cov, err := faultsim.CoverageCtx(context.Background(), universe, res.Patterns, faultsim.Options{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func main() {
 		}
 		applied[i] = p
 	}
-	_, finalCov, err := faultsim.CoverageOpts(universe, applied, faultsim.Options{Workers: *workers})
+	_, finalCov, err := faultsim.CoverageCtx(context.Background(), universe, applied, faultsim.Options{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -942,7 +942,7 @@ func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result,
 	}
 	simOpts := faultsim.Options{Workers: opt.Workers, LaneWords: opt.LaneWords}
 	workers := simOpts.PoolSize(len(u.Faults))
-	sims, err := faultsim.NewSimulatorPoolLanes(u, workers, simOpts.LaneWordCount())
+	sims, err := faultsim.NewSimulatorPool(u, workers, simOpts.LaneWordCount())
 	if err != nil {
 		return nil, err
 	}
@@ -956,14 +956,6 @@ func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result,
 		src:      prng.New(opt.FillSeed),
 		res:      &Result{Cubes: cube.NewSet(len(u.Net.Inputs))},
 		done:     make([]bool, len(u.Faults)),
-	}
-	if opt.FaultDrop {
-		// Stream the drop sweeps in deterministic shards when the universe
-		// is the canonical NewUniverse enumeration (always, in practice);
-		// a custom fault list falls back to the materialized sweep.
-		if fs := faultsim.NewFaultShards(u.Net, 0); fs.Matches(u.Faults) {
-			r.shards = fs
-		}
 	}
 	if opt.Resume != nil {
 		if err := r.restore(opt.Resume); err != nil {
@@ -1002,12 +994,9 @@ type runner struct {
 	sims   []*faultsim.Simulator // sims[0] accumulates the pending batch
 	// capacity is sims[0].Capacity(): 64×LaneWords patterns per sweep.
 	capacity int
-	// shards streams the drop sweeps when non-nil (the universe matches
-	// the canonical enumeration); nil falls back to u.Faults.
-	shards *faultsim.FaultShards
-	src    *prng.Source
-	res    *Result
-	done   []bool
+	src      *prng.Source
+	res      *Result
+	done     []bool
 	// commits counts committed faults for the checkpoint cadence.
 	commits int
 }
@@ -1203,25 +1192,17 @@ func (r *runner) commit(fi int, c cube.Cube, status Status, backtracks int) erro
 }
 
 // sweep runs the accumulated full-width batch (64×LaneWords patterns)
-// against every remaining fault, sharded across the simulator pool, and
-// starts a fresh batch. The universe streams through FaultShards when the
-// canonical enumeration matches (the materialized list is the fallback
-// for custom universes). No flush is needed after the last fault: every
-// fault has been committed or dropped by then, so a final sweep could not
-// mark anything new. A cancelled sweep returns the context error; its
-// partial done marks are all genuine detections, so the partial Result
-// stays truthful.
+// against every remaining fault of u.Faults, split across the simulator
+// pool, and starts a fresh batch. No flush is needed after the last fault:
+// every fault has been committed or dropped by then, so a final sweep
+// could not mark anything new. A cancelled sweep returns the context
+// error; its partial done marks are all genuine detections, so the
+// partial Result stays truthful.
 func (r *runner) sweep() error {
 	for _, s := range r.sims[1:] {
 		s.AdoptPatterns(r.sims[0])
 	}
-	var n int
-	var err error
-	if r.shards != nil {
-		n, err = faultsim.DetectAllShardsCtx(r.ctx, r.sims, r.shards, r.done)
-	} else {
-		n, err = faultsim.DetectAllCtx(r.ctx, r.sims, r.u.Faults, r.done)
-	}
+	n, err := faultsim.DetectAllCtx(r.ctx, r.sims, r.u.Faults, r.done)
 	r.res.Detected += n
 	r.sims[0].ResetPatterns()
 	return err

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // runAllPerPattern is the pre-batching reference: PODEM one fault at a
-// time, with a full DetectAll sweep after every single pattern (one
+// time, with a full DetectAllCtx sweep after every single pattern (one
 // simulator lane used per sweep). It is kept as the oracle the batched,
 // pipelined RunAll must match bit for bit — same cubes, same patterns,
 // same counters.
@@ -24,7 +25,7 @@ func runAllPerPattern(u *faultsim.Universe, opt Options) (*Result, error) {
 		g.BacktrackLimit = opt.BacktrackLimit
 	}
 	g.Strategy = opt.Backtrace
-	sims, err := faultsim.NewSimulatorPool(u, 1)
+	sims, err := faultsim.NewSimulatorPool(u, 1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,11 @@ func runAllPerPattern(u *faultsim.Universe, opt Options) (*Result, error) {
 			if err := sims[0].LoadPatterns([][]uint8{pat}); err != nil {
 				return nil, err
 			}
-			res.Detected += faultsim.DetectAll(sims, u.Faults, done)
+			n, err := faultsim.DetectAllCtx(context.Background(), sims, u.Faults, done)
+			if err != nil {
+				return nil, err
+			}
+			res.Detected += n
 		}
 	}
 	if den := len(u.Faults) - res.Untestable; den > 0 {
@@ -176,7 +181,7 @@ func TestRunAllWorkersNoFaultDrop(t *testing.T) {
 
 // BenchmarkRunAllSerialBatching isolates the drop-loop batching fix with
 // the worker pool pinned to one: the batched path flushes a full-width
-// DetectAll sweep once per 64 committed patterns (plus one event-driven
+// DetectAllCtx sweep once per 64 committed patterns (plus one event-driven
 // check per PODEM candidate), where the per-pattern reference sweeps the
 // whole remaining universe after every pattern with 63 lanes idle.
 func BenchmarkRunAllSerialBatching(b *testing.B) {

@@ -66,34 +66,26 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 // handful of variants virtually always suffices. It returns the encoding
 // and the variant that worked.
 func EncodeAuto(n, width, chains, L int, set *cube.Set) (*Encoding, uint64, error) {
-	return EncodeAutoWorkers(n, width, chains, L, set, 0)
+	return EncodeAutoCtx(context.Background(), n, width, chains, L, set, 0, nil)
 }
 
-// EncodeAutoWorkers is EncodeAuto with an explicit bound on the encoder's
-// candidate-scan parallelism (0 = GOMAXPROCS), for callers that already run
-// several encodings concurrently.
-func EncodeAutoWorkers(n, width, chains, L int, set *cube.Set, workers int) (*Encoding, uint64, error) {
-	return EncodeAutoCached(n, width, chains, L, set, workers, nil)
-}
-
-// EncodeAutoCached is EncodeAutoWorkers with a shared TablesCache: the
-// symbolic tables of every phase-shifter variant tried are left in the
-// cache, so *repeated* encodes of the same (n, width, chains, L)
-// configuration — a session sweep revisiting a cell, a benchmark loop —
-// serve every variant they re-try from the cache instead of re-simulating.
-// (Within a single call each variant has its own phase shifter, so the
-// first encode of a configuration builds each tried variant's tables
-// exactly once, cache or not.) A nil cache builds private tables. The
-// encodings produced are identical with and without a cache.
-func EncodeAutoCached(n, width, chains, L int, set *cube.Set, workers int, cache *TablesCache) (*Encoding, uint64, error) {
-	return EncodeAutoCtx(context.Background(), n, width, chains, L, set, workers, cache)
-}
-
-// EncodeAutoCtx is EncodeAutoCached with cooperative cancellation (see
-// EncodeCtx): the context is checked between phase-shifter variants and
-// threaded into every encode attempt, and a fired context stops the
-// variant iteration instead of masquerading as "unencodable". An
-// uncancelled run is bit-identical to EncodeAutoCached.
+// EncodeAutoCtx is EncodeAuto with an explicit bound on the encoder's
+// candidate-scan parallelism (workers; 0 = GOMAXPROCS), an optional shared
+// TablesCache and cooperative cancellation.
+//
+// The cache keeps the symbolic tables of every phase-shifter variant tried,
+// so *repeated* encodes of the same (n, width, chains, L) configuration — a
+// session sweep revisiting a cell, a benchmark loop — serve every variant
+// they re-try from the cache instead of re-simulating. (Within a single call
+// each variant has its own phase shifter, so the first encode of a
+// configuration builds each tried variant's tables exactly once, cache or
+// not.) A nil cache builds private tables. The encodings produced are
+// identical with and without a cache.
+//
+// The context (see EncodeCtx) is checked between phase-shifter variants and
+// threaded into every encode attempt, and a fired context stops the variant
+// iteration instead of masquerading as "unencodable". An uncancelled run is
+// bit-identical for any workers value and with or without a cache.
 func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, workers int, cache *TablesCache) (*Encoding, uint64, error) {
 	const maxVariants = 16
 	var lastErr error

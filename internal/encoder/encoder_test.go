@@ -1,6 +1,7 @@
 package encoder
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -269,11 +270,11 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 	}
 
 	cache := NewTablesCache()
-	a, va, err := EncodeAutoCached(16, set.Width, 8, 12, set, 0, cache)
+	a, va, err := EncodeAutoCtx(context.Background(), 16, set.Width, 8, 12, set, 0, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, vb, err := EncodeAutoWorkers(16, set.Width, 8, 12, set, 0)
+	b, vb, err := EncodeAutoCtx(context.Background(), 16, set.Width, 8, 12, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

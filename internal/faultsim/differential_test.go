@@ -1,7 +1,9 @@
 package faultsim
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -55,10 +57,69 @@ func randomPatterns(src *prng.Source, count, width int) [][]uint8 {
 	return patterns
 }
 
-// TestEventDrivenMatchesFullEval asserts that the event-driven DetectMask
-// returns exactly the mask of the original full-circuit evaluation for
-// every fault of c17 and of randomized circuits, across several pattern
-// batches.
+// fullEval is the full-circuit (non-event-driven) reference for
+// DetectLanes. It evaluates the whole circuit from the simulator's input
+// lanes into private arenas — fault-free once when built, then once per
+// fault with the fault injected — and XORs the primary outputs in every
+// loaded lane. It shares no evaluation code or scratch with the
+// event-driven engine and leaves the simulator untouched; build a new one
+// after loading new patterns.
+type fullEval struct {
+	s         *Simulator
+	good, bad []uint64
+	planes    [][]uint64
+}
+
+func newFullEval(s *Simulator) *fullEval {
+	r := &fullEval{s: s, good: make([]uint64, len(s.good)), bad: make([]uint64, len(s.good))}
+	r.eval(r.good, nil)
+	return r
+}
+
+// eval evaluates every gate in topological order into dst, with *f
+// injected when f is non-nil.
+func (r *fullEval) eval(dst []uint64, f *Fault) {
+	s, w := r.s, r.s.w
+	for _, gi := range s.topo.order {
+		g := &s.u.Net.Gates[gi]
+		out := dst[gi*w : gi*w+w]
+		if g.Type == netlist.Input {
+			copy(out, s.good[gi*w:gi*w+w]) // the pattern lanes
+		} else {
+			r.planes = r.planes[:0]
+			for pin, fi := range g.Fanin {
+				p := dst[fi*w : fi*w+w]
+				if f != nil && gi == f.Gate && pin == f.Pin {
+					p = s.stuckPlane(f.Stuck)
+				}
+				r.planes = append(r.planes, p)
+			}
+			g.Type.EvalWords(out, r.planes)
+		}
+		if f != nil && gi == f.Gate && f.Pin == -1 {
+			copy(out, s.stuckPlane(f.Stuck))
+		}
+	}
+}
+
+// detectLanes returns fault f's per-lane-word detect masks in a fresh
+// slice.
+func (r *fullEval) detectLanes(f Fault) []uint64 {
+	r.eval(r.bad, &f)
+	w := r.s.w
+	diff := make([]uint64, w)
+	for _, o := range r.s.u.Net.Outputs {
+		for k := range diff {
+			diff[k] |= (r.good[o*w+k] ^ r.bad[o*w+k]) & r.s.loaded[k]
+		}
+	}
+	return diff
+}
+
+// TestEventDrivenMatchesFullEval asserts that the event-driven DetectLanes
+// returns exactly the masks of the full-circuit reference, and DetectAny
+// their disjunction, for every fault of c17 and of randomized circuits at
+// lane widths 1, 2, 8 and 64, across full and partially loaded batches.
 func TestEventDrivenMatchesFullEval(t *testing.T) {
 	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
 	for _, seed := range []uint64{7, 21, 1999} {
@@ -71,32 +132,30 @@ func TestEventDrivenMatchesFullEval(t *testing.T) {
 	for name, nl := range circuits {
 		t.Run(name, func(t *testing.T) {
 			u := NewUniverse(nl)
-			event, err := NewSimulator(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := NewSimulator(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := prng.New(42)
-			for batch := 0; batch < 3; batch++ {
-				patterns := randomPatterns(src, 64, len(nl.Inputs))
-				if err := event.LoadPatterns(patterns); err != nil {
+			for _, w := range []int{1, 2, 8, 64} {
+				sim, err := NewSimulator(u, w)
+				if err != nil {
 					t.Fatal(err)
 				}
-				full.AdoptPatterns(event)
-				for _, f := range u.Faults {
-					got := event.DetectMask(f)
-					want := full.detectMaskFull(f)
-					if got != want {
-						t.Fatalf("batch %d fault %v: event-driven mask %064b, full-eval mask %064b", batch, f, got, want)
+				src := prng.New(42)
+				// A full batch, then one whose last lane word is partial.
+				for batch := 0; batch < 2; batch++ {
+					count := sim.Capacity() - 13*batch
+					if err := sim.LoadPatterns(randomPatterns(src, count, len(nl.Inputs))); err != nil {
+						t.Fatal(err)
 					}
-					// The early-exit boolean must agree with the full mask;
-					// interleaving it here also checks the two share the
-					// simulator's epoch state cleanly.
-					if any := event.DetectAny(f); any != (want != 0) {
-						t.Fatalf("batch %d fault %v: DetectAny %v, mask %064b", batch, f, any, want)
+					ref := newFullEval(sim)
+					for _, f := range u.Faults {
+						want := ref.detectLanes(f)
+						if got := sim.DetectLanes(f); !slices.Equal(got, want) {
+							t.Fatalf("w=%d batch %d fault %v: event-driven masks %064b, full-eval masks %064b", w, batch, f, got, want)
+						}
+						// The early-exit boolean must agree with the full
+						// masks; interleaving it here also checks the two
+						// share the simulator's epoch state cleanly.
+						if any := sim.DetectAny(f); any != anyNonzero(want) {
+							t.Fatalf("w=%d batch %d fault %v: DetectAny %v, masks %064b", w, batch, f, any, want)
+						}
 					}
 				}
 			}
@@ -121,12 +180,12 @@ func TestCoverageWorkersBitIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			u := NewUniverse(nl)
 			patterns := randomPatterns(prng.New(5), 150, len(nl.Inputs)) // 3 batches, last partial
-			serial, serialCov, err := CoverageOpts(u, patterns, Options{Workers: 1})
+			serial, serialCov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8, 0} {
-				par, parCov, err := CoverageOpts(u, patterns, Options{Workers: workers})
+				par, parCov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,44 +203,78 @@ func TestCoverageWorkersBitIdentical(t *testing.T) {
 }
 
 // TestDetectAllMatchesSerialDrop exercises the RunAll drop-loop primitive:
-// a pool marking faults over a shared done slice must mark exactly the
-// serial set and report the same count.
+// the chunked pool sweep over a shared done slice must mark exactly the
+// faults, and report the same count, as a plain serial DetectAny drop loop
+// — for the universe's own list and for a reordered subset of it (sweeps
+// index detected by list position, not by universe position), starting
+// from a partially pre-marked done slice, at several pool sizes. Run with
+// -race to check the chunk claiming.
 func TestDetectAllMatchesSerialDrop(t *testing.T) {
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 20, Outputs: 8, Gates: 200, MaxFan: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := NewUniverse(nl)
+	if len(u.Faults) <= 2*sweepChunk {
+		t.Fatalf("%d faults: too few to span several sweep chunks", len(u.Faults))
+	}
 	patterns := randomPatterns(prng.New(9), 8, len(nl.Inputs))
-
-	runPool := func(workers int) ([]bool, int) {
-		sims, err := NewSimulatorPool(u, workers)
+	var subset []Fault // every third fault dropped, the rest reversed
+	for i := len(u.Faults) - 1; i >= 0; i-- {
+		if i%3 != 0 {
+			subset = append(subset, u.Faults[i])
+		}
+	}
+	premarked := func(n int) []bool {
+		done := make([]bool, n)
+		for i := 0; i < n; i += 5 {
+			done[i] = true
+		}
+		return done
+	}
+	for name, faults := range map[string][]Fault{"universe": u.Faults, "reordered-subset": subset} {
+		ref, err := NewSimulator(u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make([]bool, len(u.Faults))
-		total := 0
+		want, wantN := premarked(len(faults)), 0
 		for _, p := range patterns {
-			if err := sims[0].LoadPatterns([][]uint8{p}); err != nil {
+			if err := ref.LoadPatterns([][]uint8{p}); err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range sims[1:] {
-				s.AdoptPatterns(sims[0])
+			for fi, f := range faults {
+				if !want[fi] && ref.DetectAny(f) {
+					want[fi] = true
+					wantN++
+				}
 			}
-			total += DetectAll(sims, u.Faults, done)
 		}
-		return done, total
-	}
-
-	serialDone, serialTotal := runPool(1)
-	for _, workers := range []int{2, 5} {
-		parDone, parTotal := runPool(workers)
-		if parTotal != serialTotal {
-			t.Fatalf("workers=%d: %d detections, serial %d", workers, parTotal, serialTotal)
-		}
-		for fi := range serialDone {
-			if parDone[fi] != serialDone[fi] {
-				t.Fatalf("workers=%d fault %v: done=%v, serial says %v", workers, u.Faults[fi], parDone[fi], serialDone[fi])
+		for _, workers := range []int{1, 2, 5} {
+			sims, err := NewSimulatorPool(u, workers, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotN := premarked(len(faults)), 0
+			for _, p := range patterns {
+				if err := sims[0].LoadPatterns([][]uint8{p}); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range sims[1:] {
+					s.AdoptPatterns(sims[0])
+				}
+				n, err := DetectAllCtx(context.Background(), sims, faults, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotN += n
+			}
+			if gotN != wantN {
+				t.Fatalf("%s workers=%d: %d detections, serial drop %d", name, workers, gotN, wantN)
+			}
+			for fi := range want {
+				if got[fi] != want[fi] {
+					t.Fatalf("%s workers=%d fault %v: done=%v, serial drop says %v", name, workers, faults[fi], got[fi], want[fi])
+				}
 			}
 		}
 	}

@@ -6,25 +6,27 @@
 //
 // A Simulator evaluates W 64-bit lane words at once (Options.LaneWords,
 // default 1), so one event-driven sweep covers up to 64×W patterns — 256 or
-// 512 at W=4/8 — while staying bit-identical, lane for lane, to the W=1
-// engine. Its per-gate planes live in contiguous arenas (one slab for the
-// whole circuit, indexed gate×W) and the shared topology stores fan-out
+// 512 at W=4/8. Its per-gate planes live in contiguous arenas (one slab for
+// the whole circuit, indexed gate×W) and the shared topology stores fan-out
 // lists in index-based CSR form, so building a 100k-gate simulator costs a
 // handful of allocations instead of one per gate.
 //
 // The simulator is event-driven: injecting a fault only re-evaluates the
 // gates inside the fault's output cone (scheduled level by level over the
-// levelized netlist), not the whole circuit. Faults whose site cannot reach
-// a primary output are rejected without simulating a single gate. Coverage
-// streams the fault universe in deterministic shards (FaultShards) across a
-// worker pool (see Options) with one Simulator of scratch state per worker;
-// the per-universe topology (levels, CSR fan-out, output reachability) is
-// computed once and shared.
+// levelized netlist), not the whole circuit. One propagation loop serves
+// every lane width; at each gate the simulator's width picks the kernel —
+// single-word netlist.GateType.EvalWord at W=1, plane-wise EvalWords above.
+// Faults whose site cannot reach a primary output are rejected without
+// simulating a single gate. CoverageCtx sweeps the universe's fault list in
+// fixed-size chunks claimed by a worker pool (see Options), with one
+// Simulator of scratch state per worker; the per-universe topology (levels,
+// CSR fan-out, output reachability) is computed once and shared.
 package faultsim
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -52,8 +54,7 @@ func (f Fault) String() string {
 type Universe struct {
 	// Net is the circuit the faults live on.
 	Net *netlist.Netlist
-	// Faults is the collapsed stuck-at list in canonical gate order — the
-	// same enumeration FaultShards streams shard by shard.
+	// Faults is the collapsed stuck-at list in canonical gate order.
 	Faults []Fault
 
 	topoOnce sync.Once
@@ -70,19 +71,8 @@ type Universe struct {
 // and buffers, input faults are always equivalent to output faults and are
 // dropped too.
 func NewUniverse(n *netlist.Netlist) *Universe {
-	loads := signalLoads(n)
-	u := &Universe{Net: n}
-	for gi := range n.Gates {
-		u.Faults = appendGateFaults(n, loads, gi, u.Faults)
-	}
-	return u
-}
-
-// signalLoads returns the load count of every signal — how many gate
-// fan-in pins read it, plus one per primary-output marking. This is the
-// quantity the collapsing rules key on, shared by NewUniverse and
-// FaultShards.
-func signalLoads(n *netlist.Netlist) []int32 {
+	// loads[s] counts the gate fan-in pins reading signal s, plus one per
+	// primary-output marking — the quantity the collapsing rules key on.
 	loads := make([]int32, n.NumGates())
 	for _, g := range n.Gates {
 		for _, f := range g.Fanin {
@@ -92,33 +82,27 @@ func signalLoads(n *netlist.Netlist) []int32 {
 	for _, o := range n.Outputs {
 		loads[o]++
 	}
-	return loads
-}
-
-// appendGateFaults appends gate gi's collapsed faults in canonical order
-// (output sa0, output sa1, then sa0/sa1 per kept input pin). It is the
-// single source of truth for the fault enumeration: NewUniverse
-// materializes it and FaultShards regenerates it shard by shard, so the
-// two can never disagree on order or content.
-func appendGateFaults(n *netlist.Netlist, loads []int32, gi int, dst []Fault) []Fault {
-	g := &n.Gates[gi]
-	if g.Type != netlist.Input || loads[gi] > 0 {
-		dst = append(dst, Fault{Gate: gi, Pin: -1, Stuck: 0}, Fault{Gate: gi, Pin: -1, Stuck: 1})
-	}
-	if g.Type == netlist.Buf || g.Type == netlist.Not {
-		return dst
-	}
-	for pin, f := range g.Fanin {
-		if loads[f] > 1 {
-			dst = append(dst, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+	u := &Universe{Net: n}
+	for gi := range n.Gates {
+		g := &n.Gates[gi]
+		if g.Type != netlist.Input || loads[gi] > 0 {
+			u.Faults = append(u.Faults, Fault{Gate: gi, Pin: -1, Stuck: 0}, Fault{Gate: gi, Pin: -1, Stuck: 1})
+		}
+		if g.Type == netlist.Buf || g.Type == netlist.Not {
+			continue
+		}
+		for pin, f := range g.Fanin {
+			if loads[f] > 1 {
+				u.Faults = append(u.Faults, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+			}
 		}
 	}
-	return dst
+	return u
 }
 
 // topology holds the per-circuit structures every Simulator shares: the
-// topological order, per-gate levels, CSR fan-out lists and output
-// reachability. It is immutable once built; order and level are the
+// topological order, per-gate levels, CSR lists of observable fan-outs and
+// output reachability. It is immutable once built; order and level are the
 // netlist's shared caches (netlist.Levelize/Levels), never mutated here.
 // The fan-out lists are stored index-based — one flat int32 adjacency slab
 // plus an offset array — so a 100k-gate topology is two allocations, not
@@ -127,13 +111,15 @@ type topology struct {
 	order      []int
 	level      []int
 	numLevels  int
-	fanoutOff  []int32 // CSR offsets; gate gi's fan-outs are fanoutList[fanoutOff[gi]:fanoutOff[gi+1]]
+	fanoutOff  []int32 // CSR offsets; gate gi's observable fan-outs are fanoutList[fanoutOff[gi]:fanoutOff[gi+1]]
 	fanoutList []int32
 	isOutput   []bool
 	observable []bool // gate has a path to some primary output
 }
 
-// fanouts returns gate gi's fan-out list as a view into the CSR slab.
+// fanouts returns gate gi's fan-out list as a view into the CSR slab (all
+// fan-outs while newTopology computes observability, the observable ones
+// after).
 func (t *topology) fanouts(gi int) []int32 {
 	return t.fanoutList[t.fanoutOff[gi]:t.fanoutOff[gi+1]]
 }
@@ -189,8 +175,7 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 		t.isOutput[o] = true
 	}
 	// Output reachability in reverse topological order: a gate is observable
-	// iff it is an output or some fan-out gate is. Events outside this set
-	// can never change a primary output, so DetectMask never schedules them.
+	// iff it is an output or some fan-out gate is.
 	for i := len(order) - 1; i >= 0; i-- {
 		gi := order[i]
 		if t.isOutput[gi] {
@@ -204,6 +189,22 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 			}
 		}
 	}
+	// Events outside the observable set can never change a primary output,
+	// so compact every fan-out list, in place, to its observable gates:
+	// detect then schedules whole lists without a per-edge check.
+	kept := int32(0)
+	for gi := 0; gi < ng; gi++ {
+		start, end := t.fanoutOff[gi], t.fanoutOff[gi+1]
+		t.fanoutOff[gi] = kept
+		for _, fo := range t.fanoutList[start:end] {
+			if t.observable[fo] {
+				t.fanoutList[kept] = fo
+				kept++
+			}
+		}
+	}
+	t.fanoutOff[ng] = kept
+	t.fanoutList = t.fanoutList[:kept]
 	return t, nil
 }
 
@@ -214,7 +215,7 @@ const MaxLaneWords = 64
 
 // ErrLaneOverflow is returned (wrapped) when a pattern batch would exceed
 // the simulator's lane capacity — more than Capacity() = 64×LaneWords
-// patterns via LoadPatterns, LoadPacked or AppendPattern.
+// patterns via LoadPatterns or AppendPattern.
 var ErrLaneOverflow = errors.New("faultsim: pattern count exceeds lane capacity")
 
 // Simulator evaluates up to 64×W test patterns at once against the
@@ -235,10 +236,9 @@ type Simulator struct {
 	queued []uint32 // epoch stamp marking gates scheduled for evaluation
 	epoch  uint32
 	levels [][]int    // per-level worklist buckets, reused across faults
-	buf    []uint64   // fan-in word gather scratch (w==1 fast path)
-	planes [][]uint64 // fan-in plane gather scratch (lane path)
-	fbuf   []uint64   // w-word faulty-value scratch (lane path)
-	dbuf   []uint64   // w-word DetectLanes result scratch
+	buf    []uint64   // fan-in word gather scratch (W=1 kernel)
+	planes [][]uint64 // fan-in plane gather scratch (W>1 kernel, fault-free load)
+	dbuf   []uint64   // w-word detect-mask scratch, the DetectLanes result
 	zeros  []uint64   // constant all-zero stuck plane
 	ones   []uint64   // constant all-one stuck plane
 	loaded []uint64   // w-word mask of valid pattern lanes
@@ -246,17 +246,10 @@ type Simulator struct {
 	dirty  bool       // input lanes changed; fault-free evaluation pending
 }
 
-// NewSimulator prepares a single-lane-word (64-pattern) simulator for the
-// universe's netlist — the W=1 reference engine every wider lane width is
-// tested bit-identical against.
-func NewSimulator(u *Universe) (*Simulator, error) {
-	return NewSimulatorLanes(u, 1)
-}
-
-// NewSimulatorLanes prepares a simulator with laneWords 64-bit words of
-// pattern lanes, for a batch capacity of 64×laneWords patterns per sweep.
+// NewSimulator prepares a simulator with laneWords 64-bit words of pattern
+// lanes, for a batch capacity of 64×laneWords patterns per sweep.
 // laneWords must be in [1, MaxLaneWords].
-func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
+func NewSimulator(u *Universe, laneWords int) (*Simulator, error) {
 	if laneWords < 1 || laneWords > MaxLaneWords {
 		return nil, fmt.Errorf("faultsim: LaneWords %d (want 1..%d)", laneWords, MaxLaneWords)
 	}
@@ -265,6 +258,10 @@ func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
 		return nil, err
 	}
 	ng := u.Net.NumGates()
+	ones := make([]uint64, laneWords)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
 	return &Simulator{
 		u:      u,
 		topo:   topo,
@@ -274,20 +271,11 @@ func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
 		stamp:  make([]uint32, ng),
 		queued: make([]uint32, ng),
 		levels: make([][]int, topo.numLevels),
-		fbuf:   make([]uint64, laneWords),
 		dbuf:   make([]uint64, laneWords),
 		zeros:  make([]uint64, laneWords),
-		ones:   newOnes(laneWords),
+		ones:   ones,
 		loaded: make([]uint64, laneWords),
 	}, nil
-}
-
-func newOnes(w int) []uint64 {
-	ones := make([]uint64, w)
-	for i := range ones {
-		ones[i] = ^uint64(0)
-	}
-	return ones
 }
 
 // LaneWords returns the simulator's lane width W in 64-bit words.
@@ -327,10 +315,10 @@ func (s *Simulator) ResetPatterns() {
 
 // AppendPattern adds one fully specified pattern to the next free lane of
 // the current batch (up to Capacity) without re-packing the lanes already
-// loaded. The fault-free evaluation is deferred until the next DetectMask
-// (or AdoptPatterns), so appending k patterns back to back costs one
-// circuit evaluation, not k — the primitive RunAll's drop loop builds its
-// 64×W-wide batches with.
+// loaded. The fault-free evaluation is deferred until the next DetectLanes
+// or DetectAny (or AdoptPatterns), so appending k patterns back to back
+// costs one circuit evaluation, not k — the primitive RunAll's drop loop
+// builds its 64×W-wide batches with.
 func (s *Simulator) AppendPattern(p []uint8) error {
 	if s.count >= s.Capacity() {
 		return fmt.Errorf("%w: batch already holds %d patterns (LaneWords=%d)",
@@ -353,69 +341,28 @@ func (s *Simulator) AppendPattern(p []uint8) error {
 	return nil
 }
 
-// LoadPacked installs an already bit-sliced batch: words[i*W+k] holds lane
-// word k of input i (bit p of word k = pattern 64k+p), count the number of
-// valid lanes, at most Capacity (ErrLaneOverflow past it). Callers that
-// keep patterns packed skip the per-bit slicing of LoadPatterns entirely;
-// lanes at or above count are masked off.
-func (s *Simulator) LoadPacked(words []uint64, count int) error {
-	n := s.u.Net
-	if len(words) != len(n.Inputs)*s.w {
-		return fmt.Errorf("faultsim: %d packed words, want %d (%d inputs × LaneWords=%d)",
-			len(words), len(n.Inputs)*s.w, len(n.Inputs), s.w)
-	}
-	if count > s.Capacity() {
-		return fmt.Errorf("%w: %d patterns, capacity %d (LaneWords=%d)",
-			ErrLaneOverflow, count, s.Capacity(), s.w)
-	}
-	if count < 1 {
-		return fmt.Errorf("faultsim: %d patterns (want 1..%d)", count, s.Capacity())
-	}
-	s.ResetPatterns()
-	fillLoadedMask(s.loaded, count)
-	for ii, gi := range n.Inputs {
-		for k := 0; k < s.w; k++ {
-			s.good[gi*s.w+k] = words[ii*s.w+k] & s.loaded[k]
-		}
-	}
-	s.count = count
-	s.dirty = true
-	return nil
-}
-
 // PatternCount returns the number of pattern lanes currently loaded.
 func (s *Simulator) PatternCount() int { return s.count }
 
-func laneMask(count int) uint64 {
-	if count >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(count) - 1
-}
-
-// fillLoadedMask sets the valid-lane mask for count patterns across the
-// given lane words: full words below the boundary, a partial mask at it,
-// zero above.
-func fillLoadedMask(loaded []uint64, count int) {
-	for k := range loaded {
-		rem := count - 64*k
-		switch {
-		case rem >= 64:
-			loaded[k] = ^uint64(0)
-		case rem > 0:
-			loaded[k] = laneMask(rem)
-		default:
-			loaded[k] = 0
-		}
-	}
-}
-
-// ensureEval runs the deferred fault-free evaluation of the loaded batch.
+// ensureEval runs the deferred fault-free evaluation of the loaded batch:
+// every non-input gate in topological order, from the input lanes.
 func (s *Simulator) ensureEval() {
-	if s.dirty {
-		s.evalInto(s.good, -1, Fault{})
-		s.dirty = false
+	if !s.dirty {
+		return
 	}
+	w := s.w
+	for _, gi := range s.topo.order {
+		g := &s.u.Net.Gates[gi]
+		if g.Type == netlist.Input {
+			continue // inputs hold the pattern lanes
+		}
+		s.planes = s.planes[:0]
+		for _, fi := range g.Fanin {
+			s.planes = append(s.planes, s.good[fi*w:fi*w+w])
+		}
+		g.Type.EvalWords(s.good[gi*w:gi*w+w], s.planes)
+	}
+	s.dirty = false
 }
 
 // AdoptPatterns copies the fault-free state of src, which must be a
@@ -430,34 +377,6 @@ func (s *Simulator) AdoptPatterns(src *Simulator) {
 	s.dirty = false
 }
 
-// evalInto evaluates the whole circuit into the dst arena. If faultGate ≥ 0,
-// the given fault is injected. It is the full (non-event-driven) evaluation,
-// used for the fault-free load and as the reference in differential tests.
-func (s *Simulator) evalInto(dst []uint64, faultGate int, f Fault) {
-	n := s.u.Net
-	w := s.w
-	for _, gi := range s.topo.order {
-		g := &n.Gates[gi]
-		db := dst[gi*w : gi*w+w]
-		if g.Type == netlist.Input {
-			copy(db, s.good[gi*w:gi*w+w]) // inputs always take the pattern values
-		} else {
-			s.planes = s.planes[:0]
-			for pin, fi := range g.Fanin {
-				fp := dst[fi*w : fi*w+w]
-				if faultGate == gi && f.Pin == pin {
-					fp = s.stuckPlane(f.Stuck)
-				}
-				s.planes = append(s.planes, fp)
-			}
-			g.Type.EvalWords(db, s.planes)
-		}
-		if faultGate == gi && f.Pin == -1 {
-			copy(db, s.stuckPlane(f.Stuck))
-		}
-	}
-}
-
 // stuckPlane returns the constant all-0 or all-1 lane plane for a stuck
 // value.
 func (s *Simulator) stuckPlane(b uint8) []uint64 {
@@ -467,76 +386,13 @@ func (s *Simulator) stuckPlane(b uint8) []uint64 {
 	return s.zeros
 }
 
-func stuckWord(b uint8) uint64 {
-	if b != 0 {
-		return ^uint64(0)
-	}
-	return 0
-}
-
-// DetectMask simulates one fault against the loaded patterns and returns a
-// bitmask of the patterns in the first lane word (patterns 0..63) that
-// detect it (differ on some primary output). For W=1 simulators that is
-// the whole batch; wider simulators report all lane words via DetectLanes.
-//
-// The evaluation is event-driven: only gates downstream of the injection
-// point are re-evaluated, level by level, and propagation stops wherever
-// the faulty value reconverges with the fault-free one. Gates that cannot
-// reach a primary output are never scheduled.
-func (s *Simulator) DetectMask(f Fault) uint64 {
-	if s.w > 1 {
-		return s.DetectLanes(f)[0]
-	}
-	t := s.topo
-	if s.count == 0 || !t.observable[f.Gate] {
-		return 0
-	}
-	s.ensureEval()
-	s.epoch++
-	if s.epoch == 0 { // uint32 wrap: every stale stamp would look current
-		clear(s.stamp)
-		clear(s.queued)
-		s.epoch = 1
-	}
-	s.schedule(f.Gate)
-	var diff uint64
-	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
-		bucket := s.levels[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		for _, gi := range bucket {
-			v := s.evalFaulty(gi, f)
-			if v == s.good[gi] {
-				continue // reconverged: nothing propagates
-			}
-			s.bad[gi] = v
-			s.stamp[gi] = s.epoch
-			if t.isOutput[gi] {
-				diff |= s.good[gi] ^ v
-			}
-			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
-			}
-		}
-		s.levels[lv] = bucket[:0]
-	}
-	return diff & s.loaded[0]
-}
-
 // DetectLanes simulates one fault against the loaded patterns and returns
 // the per-lane-word detect masks: bit p of word k is set when pattern
-// 64k+p detects the fault. The returned slice is scratch owned by the
-// simulator, valid until the next Detect call; copy it to retain it. For
-// W=1 it is a one-word view of DetectMask.
+// 64k+p detects the fault (differs on some primary output). The returned
+// slice is scratch owned by the simulator, valid until the next Detect
+// call; copy it to retain it.
 func (s *Simulator) DetectLanes(f Fault) []uint64 {
-	if s.w == 1 {
-		s.dbuf[0] = s.DetectMask(f)
-		return s.dbuf
-	}
-	s.detectLanes(f, false)
+	s.detect(f, false)
 	return s.dbuf
 }
 
@@ -547,65 +403,26 @@ func (s *Simulator) DetectLanes(f Fault) []uint64 {
 // loops only need the boolean, and detected faults are exactly the ones
 // whose cones propagate furthest.
 func (s *Simulator) DetectAny(f Fault) bool {
-	if s.w > 1 {
-		return s.detectLanes(f, true)
-	}
-	t := s.topo
-	if s.count == 0 || !t.observable[f.Gate] {
-		return false
-	}
-	s.ensureEval()
-	s.epoch++
-	if s.epoch == 0 { // uint32 wrap: every stale stamp would look current
-		clear(s.stamp)
-		clear(s.queued)
-		s.epoch = 1
-	}
-	s.schedule(f.Gate)
-	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
-		bucket := s.levels[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		var diff uint64
-		for _, gi := range bucket {
-			v := s.evalFaulty(gi, f)
-			if v == s.good[gi] {
-				continue // reconverged: nothing propagates
-			}
-			s.bad[gi] = v
-			s.stamp[gi] = s.epoch
-			if t.isOutput[gi] {
-				diff |= (s.good[gi] ^ v) & s.loaded[0]
-			}
-			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
-			}
-		}
-		s.levels[lv] = bucket[:0]
-		if diff != 0 {
-			for l := lv + 1; l < len(s.levels); l++ {
-				s.levels[l] = s.levels[l][:0]
-			}
-			return true
-		}
-	}
-	return false
+	return s.detect(f, true)
 }
 
-// detectLanes is the W>1 event-driven engine behind DetectLanes and
-// DetectAny: identical propagation to the scalar path, with every plane
-// comparison, reconvergence check and output diff running over all W lane
-// words. The per-word detect masks accumulate into s.dbuf; with early set
-// it stops at the first level where any lane word shows an output
-// difference. It reports whether any lane detects the fault.
-func (s *Simulator) detectLanes(f Fault, early bool) bool {
-	w := s.w
+// detect is the event-driven propagation loop behind DetectLanes and
+// DetectAny. Only gates downstream of the injection point are re-evaluated,
+// level by level; propagation stops wherever the faulty planes reconverge
+// with the fault-free ones in every lane, and gates that cannot reach a
+// primary output are never scheduled. Faulty values land in the bad
+// arena, which is read back only where the gate carries the current
+// epoch's stamp. It reports whether any lane detects the fault. Without early, the per-word output differences
+// accumulate into s.dbuf; with early, detect stops at the first level
+// where some loaded lane of a primary output differs and leaves s.dbuf
+// alone. DetectAny must not write it: a pool's simulators are built back
+// to back, so their small scratch slices can share cache lines, and a
+// per-fault write there made the two-worker W=1 sweep ~10% slower.
+func (s *Simulator) detect(f Fault, early bool) bool {
+	if !early {
+		clear(s.dbuf)
+	}
 	t := s.topo
-	diff := s.dbuf
-	clear(diff)
 	if s.count == 0 || !t.observable[f.Gate] {
 		return false
 	}
@@ -617,52 +434,48 @@ func (s *Simulator) detectLanes(f Fault, early bool) bool {
 		s.epoch = 1
 	}
 	s.schedule(f.Gate)
-	any := false
+	w := s.w
+	hit := false
 	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
 		bucket := s.levels[lv]
 		if len(bucket) == 0 {
 			continue
 		}
-		levelHit := false
 		for _, gi := range bucket {
-			s.evalFaultyLanes(gi, f, s.fbuf)
-			gp := s.good[gi*w : gi*w+w]
-			same := true
-			for k, v := range s.fbuf {
-				if v != gp[k] {
-					same = false
-					break
+			// The lane width picks the gate kernel (see evalWord).
+			if w == 1 {
+				v := s.evalWord(gi, f)
+				if v == s.good[gi] {
+					continue // reconverged: nothing propagates
 				}
-			}
-			if same {
+				s.bad[gi] = v
+			} else if !s.evalPlanes(gi, f) {
 				continue // reconverged in every lane: nothing propagates
 			}
-			copy(s.bad[gi*w:gi*w+w], s.fbuf)
 			s.stamp[gi] = s.epoch
 			if t.isOutput[gi] {
-				for k, v := range s.fbuf {
-					if d := (gp[k] ^ v) & s.loaded[k]; d != 0 {
-						diff[k] |= d
-						levelHit = true
-						any = true
+				for k := range s.loaded {
+					if d := (s.good[gi*w+k] ^ s.bad[gi*w+k]) & s.loaded[k]; d != 0 {
+						hit = true
+						if !early {
+							s.dbuf[k] |= d
+						}
 					}
 				}
 			}
 			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
+				s.schedule(int(fo))
 			}
 		}
 		s.levels[lv] = bucket[:0]
-		if early && levelHit {
+		if early && hit {
 			for l := lv + 1; l < len(s.levels); l++ {
 				s.levels[l] = s.levels[l][:0]
 			}
 			return true
 		}
 	}
-	return any
+	return hit
 }
 
 // schedule queues a gate for evaluation in the current epoch. Fan-out gates
@@ -677,12 +490,15 @@ func (s *Simulator) schedule(gi int) {
 	s.levels[lv] = append(s.levels[lv], gi)
 }
 
-// evalFaulty computes the faulty value of one gate from the current-epoch
-// faulty values of its fan-ins (falling back to the fault-free values) with
-// the fault injected. W=1 fast path; the lane engine uses evalFaultyLanes.
-func (s *Simulator) evalFaulty(gi int, f Fault) uint64 {
+// evalWord is the W=1 gate kernel: it returns gate gi's faulty value —
+// the stuck word for an output fault at gi, otherwise EvalWord over each
+// fan-in's current word (the stuck word on the faulty pin, bad where the
+// fan-in is stamped this epoch, good elsewhere). Gathering single words
+// instead of one-word planes keeps W=1 as fast as a dedicated scalar
+// engine; pushing it through evalPlanes costs ~27%.
+func (s *Simulator) evalWord(gi int, f Fault) uint64 {
 	if f.Gate == gi && f.Pin == -1 {
-		return stuckWord(f.Stuck)
+		return s.stuckPlane(f.Stuck)[0]
 	}
 	g := &s.u.Net.Gates[gi]
 	if g.Type == netlist.Input {
@@ -693,7 +509,7 @@ func (s *Simulator) evalFaulty(gi int, f Fault) uint64 {
 		var fv uint64
 		switch {
 		case f.Gate == gi && f.Pin == pin:
-			fv = stuckWord(f.Stuck)
+			fv = s.stuckPlane(f.Stuck)[0]
 		case s.stamp[fi] == s.epoch:
 			fv = s.bad[fi]
 		default:
@@ -704,59 +520,33 @@ func (s *Simulator) evalFaulty(gi int, f Fault) uint64 {
 	return g.Type.EvalWord(s.buf)
 }
 
-// evalFaultyLanes is evalFaulty over W lane words: it gathers each fan-in's
-// current plane (bad where stamped this epoch, good otherwise, the constant
-// stuck plane on the faulty pin) and evaluates the gate function into dst.
-func (s *Simulator) evalFaultyLanes(gi int, f Fault, dst []uint64) {
+// evalPlanes is the W>1 gate kernel: it evaluates gate gi's faulty planes
+// into its slot of the bad arena — the stuck plane for an output fault at
+// gi, otherwise EvalWords over each fan-in's current plane, chosen as in
+// evalWord — and reports whether they differ from the fault-free planes
+// in any lane.
+func (s *Simulator) evalPlanes(gi int, f Fault) bool {
 	w := s.w
-	if f.Gate == gi && f.Pin == -1 {
-		copy(dst, s.stuckPlane(f.Stuck))
-		return
-	}
+	good, bad := s.good[gi*w:gi*w+w], s.bad[gi*w:gi*w+w]
 	g := &s.u.Net.Gates[gi]
-	if g.Type == netlist.Input {
-		copy(dst, s.good[gi*w:gi*w+w])
-		return
-	}
-	s.planes = s.planes[:0]
-	for pin, fi := range g.Fanin {
-		var fp []uint64
-		switch {
-		case f.Gate == gi && f.Pin == pin:
-			fp = s.stuckPlane(f.Stuck)
-		case s.stamp[fi] == s.epoch:
-			fp = s.bad[fi*w : fi*w+w]
-		default:
-			fp = s.good[fi*w : fi*w+w]
+	switch {
+	case f.Gate == gi && f.Pin == -1:
+		copy(bad, s.stuckPlane(f.Stuck))
+	case g.Type == netlist.Input:
+		return false // an unfaulted input keeps its pattern lanes
+	default:
+		s.planes = s.planes[:0]
+		for pin, fi := range g.Fanin {
+			p := s.good[fi*w : fi*w+w]
+			switch {
+			case f.Gate == gi && f.Pin == pin:
+				p = s.stuckPlane(f.Stuck)
+			case s.stamp[fi] == s.epoch:
+				p = s.bad[fi*w : fi*w+w]
+			}
+			s.planes = append(s.planes, p)
 		}
-		s.planes = append(s.planes, fp)
+		g.Type.EvalWords(bad, s.planes)
 	}
-	g.Type.EvalWords(dst, s.planes)
-}
-
-// detectMaskFull is the original full-circuit implementation of DetectMask
-// (first lane word), kept as the reference oracle for differential tests of
-// the event-driven path.
-func (s *Simulator) detectMaskFull(f Fault) uint64 {
-	return s.detectLanesFull(f)[0]
-}
-
-// detectLanesFull is the full-circuit (non-event-driven) reference for
-// DetectLanes: evaluate the whole faulty circuit into the bad arena and
-// XOR the outputs. Returns scratch valid until the next Detect call.
-func (s *Simulator) detectLanesFull(f Fault) []uint64 {
-	s.ensureEval()
-	s.evalInto(s.bad, f.Gate, f)
-	w := s.w
-	diff := s.dbuf
-	clear(diff)
-	for _, o := range s.u.Net.Outputs {
-		for k := 0; k < w; k++ {
-			diff[k] |= (s.good[o*w+k] ^ s.bad[o*w+k]) & s.loaded[k]
-		}
-	}
-	// The bad arena now holds full-circuit values without epoch stamps —
-	// harmless, because every event-driven Detect bumps the epoch on entry
-	// and only reads bad where the stamp matches the new epoch.
-	return diff
+	return !slices.Equal(bad, good)
 }

@@ -3,6 +3,7 @@ package faultsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -46,7 +47,7 @@ func effPlaneWord(s *Simulator, gi, k int) uint64 {
 func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, patSeed uint64) {
 	t.Helper()
 	u := NewUniverse(nl)
-	wide, err := NewSimulatorLanes(u, w)
+	wide, err := NewSimulator(u, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 	chunks := (count + 63) / 64
 	refs := make([]*Simulator, chunks)
 	for k := range refs {
-		ref, err := NewSimulator(u)
+		ref, err := NewSimulator(u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 		got := wide.DetectLanes(f)
 		clear(wantMask)
 		for k, ref := range refs {
-			wantMask[k] = ref.DetectMask(f)
+			wantMask[k] = ref.DetectLanes(f)[0]
 		}
 		for k := 0; k < w; k++ {
 			if got[k] != wantMask[k] {
@@ -90,7 +91,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 		// reflects this fault, then compare every gate's effective value.
 		wide.DetectLanes(f)
 		for k, ref := range refs {
-			ref.DetectMask(f)
+			ref.DetectLanes(f)
 			for gi := 0; gi < nl.NumGates(); gi++ {
 				if gw, rw := effPlaneWord(wide, gi, k), effPlaneWord(ref, gi, 0); gw != rw {
 					t.Fatalf("w=%d count=%d fault %v gate %d lane word %d: wide plane %064b, reference %064b",
@@ -149,7 +150,7 @@ func TestLaneOverflowBoundaries(t *testing.T) {
 	nl := c17(t)
 	u := NewUniverse(nl)
 	for _, w := range []int{1, 2, 8} {
-		s, err := NewSimulatorLanes(u, w)
+		s, err := NewSimulator(u, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,13 +175,13 @@ func TestLaneOverflowBoundaries(t *testing.T) {
 				checkOverflow(t, err, tc.overflow, tc.ok)
 			})
 			t.Run(fmt.Sprintf("w=%d/LoadPacked/%s", w, tc.name), func(t *testing.T) {
-				err := s.LoadPacked(make([]uint64, len(nl.Inputs)*w), tc.count)
+				err := s.loadPacked(make([]uint64, len(nl.Inputs)*w), tc.count)
 				checkOverflow(t, err, tc.overflow, tc.ok)
 			})
 		}
-		// LoadPacked also validates the packed word count itself.
-		if err := s.LoadPacked(make([]uint64, len(nl.Inputs)*w+1), 1); err == nil {
-			t.Fatalf("w=%d: LoadPacked accepted a wrong word count", w)
+		// loadPacked also validates the packed word count itself.
+		if err := s.loadPacked(make([]uint64, len(nl.Inputs)*w+1), 1); err == nil {
+			t.Fatalf("w=%d: loadPacked accepted a wrong word count", w)
 		} else if errors.Is(err, ErrLaneOverflow) {
 			t.Fatalf("w=%d: word-count error misreported as ErrLaneOverflow: %v", w, err)
 		}
@@ -192,11 +193,11 @@ func TestLaneOverflowBoundaries(t *testing.T) {
 			t.Fatalf("w=%d: AppendPattern past capacity returned %v, want ErrLaneOverflow", w, err)
 		}
 	}
-	if _, err := NewSimulatorLanes(u, 0); err == nil {
-		t.Fatal("NewSimulatorLanes accepted 0 lane words")
+	if _, err := NewSimulator(u, 0); err == nil {
+		t.Fatal("NewSimulator accepted 0 lane words")
 	}
-	if _, err := NewSimulatorLanes(u, MaxLaneWords+1); err == nil {
-		t.Fatalf("NewSimulatorLanes accepted %d lane words", MaxLaneWords+1)
+	if _, err := NewSimulator(u, MaxLaneWords+1); err == nil {
+		t.Fatalf("NewSimulator accepted %d lane words", MaxLaneWords+1)
 	}
 }
 
@@ -221,130 +222,18 @@ func checkOverflow(t *testing.T, err error, wantOverflow, wantOK bool) {
 	}
 }
 
-// TestFaultShardsStreamUniverse proves the sharded enumeration reproduces
-// the materialized universe exactly — same faults, same order, same indices
-// — for shard sizes from degenerate (1) through default to
-// bigger-than-universe, and that Matches rejects any deviation.
-func TestFaultShardsStreamUniverse(t *testing.T) {
-	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
-	for _, seed := range []uint64{3, 11, 29} {
-		nl, err := netlist.Random(netlist.RandomConfig{Inputs: 18, Outputs: 6, Gates: 140, MaxFan: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		circuits[fmt.Sprintf("random-%d", seed)] = nl
-	}
-	for name, nl := range circuits {
-		t.Run(name, func(t *testing.T) {
-			u := NewUniverse(nl)
-			for _, size := range []int{1, 3, DefaultShardSize, 100000} {
-				fs := NewFaultShards(nl, size)
-				if fs.NumFaults() != len(u.Faults) {
-					t.Fatalf("size=%d: NumFaults=%d, universe has %d", size, fs.NumFaults(), len(u.Faults))
-				}
-				var streamed []Fault
-				var buf []Fault
-				for k := 0; k < fs.NumShards(); k++ {
-					shard, start := fs.Shard(k, buf)
-					if start != k*fs.ShardSize() {
-						t.Fatalf("size=%d shard %d: start=%d, want %d", size, k, start, k*fs.ShardSize())
-					}
-					if len(shard) == 0 {
-						t.Fatalf("size=%d shard %d: empty in-range shard", size, k)
-					}
-					streamed = append(streamed, shard...)
-					buf = shard
-				}
-				if len(streamed) != len(u.Faults) {
-					t.Fatalf("size=%d: streamed %d faults, universe has %d", size, len(streamed), len(u.Faults))
-				}
-				for i := range streamed {
-					if streamed[i] != u.Faults[i] {
-						t.Fatalf("size=%d fault %d: streamed %v, universe %v", size, i, streamed[i], u.Faults[i])
-					}
-				}
-				if !fs.Matches(u.Faults) {
-					t.Fatalf("size=%d: Matches rejected the universe's own fault list", size)
-				}
-				if shard, _ := fs.Shard(fs.NumShards(), nil); len(shard) != 0 {
-					t.Fatalf("size=%d: out-of-range shard returned %d faults", size, len(shard))
-				}
-				if shard, _ := fs.Shard(-1, nil); len(shard) != 0 {
-					t.Fatalf("size=%d: negative shard returned %d faults", size, len(shard))
-				}
-				perturbed := append([]Fault(nil), u.Faults...)
-				perturbed[len(perturbed)/2].Stuck ^= 1
-				if fs.Matches(perturbed) {
-					t.Fatalf("size=%d: Matches accepted a perturbed fault list", size)
-				}
-				if fs.Matches(perturbed[:len(perturbed)-1]) {
-					t.Fatalf("size=%d: Matches accepted a truncated fault list", size)
-				}
-			}
-		})
-	}
-}
-
-// TestDetectAllShardsMatchesDetectAll requires the streamed sweep to mark
-// exactly the same detected set as the materialized sweep, serial and
-// pooled, including on a partially pre-marked done slice (the fault-drop
-// shape). Run with -race to check the shard claiming.
-func TestDetectAllShardsMatchesDetectAll(t *testing.T) {
-	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 24, Outputs: 8, Gates: 260, MaxFan: 3, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUniverse(nl)
-	patterns := randomPatterns(prng.New(6), 90, len(nl.Inputs))
-	for _, shardSize := range []int{1, 7, DefaultShardSize} {
-		shards := NewFaultShards(nl, shardSize)
-		if !shards.Matches(u.Faults) {
-			t.Fatalf("size=%d: shards do not match the universe", shardSize)
-		}
-		for _, workers := range []int{1, 3} {
-			sims, err := NewSimulatorPool(u, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sims[0].LoadPatterns(patterns[:64]); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range sims[1:] {
-				s.AdoptPatterns(sims[0])
-			}
-			// Pre-mark every 5th fault to exercise the drop skip.
-			want := make([]bool, len(u.Faults))
-			got := make([]bool, len(u.Faults))
-			for i := range want {
-				if i%5 == 0 {
-					want[i], got[i] = true, true
-				}
-			}
-			wantN := DetectAll(sims, u.Faults, want)
-			gotN := DetectAllShards(sims, shards, got)
-			if gotN != wantN {
-				t.Fatalf("size=%d workers=%d: sharded sweep marked %d, materialized %d", shardSize, workers, gotN, wantN)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("size=%d workers=%d fault %v: sharded=%v, materialized=%v",
-						shardSize, workers, u.Faults[i], got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// FuzzDetectLanes cross-checks the wide-lane engine against the single-word
-// engine on fuzzer-shaped circuits and pattern batches: for every fault of
-// the generated netlist, DetectLanes at W ∈ {2,4,8} must equal the W=1
-// masks chunk by chunk, and DetectAny must agree with the mask. CI runs a
-// 10-second smoke over the seed corpus.
+// FuzzDetectLanes cross-checks the event-driven engine against the
+// full-circuit reference on fuzzer-shaped circuits and pattern batches: for
+// every fault of the generated netlist, DetectLanes at the selected width
+// W ∈ {1,2,4,8} must equal the reference masks lane word by lane word, and
+// DetectAny must agree with them. CI runs a 10-second smoke over the seed
+// corpus.
 func FuzzDetectLanes(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(100))
 	f.Add(uint64(42), uint8(1), uint8(7))
 	f.Add(uint64(2008), uint8(2), uint8(255))
 	f.Add(uint64(7777), uint8(5), uint8(64))
+	f.Add(uint64(31337), uint8(3), uint8(200))
 	f.Fuzz(func(t *testing.T, seed uint64, wsel, countSel uint8) {
 		nl, err := netlist.Random(netlist.RandomConfig{
 			Inputs:  3 + int(seed%14),
@@ -356,44 +245,25 @@ func FuzzDetectLanes(f *testing.F) {
 		if err != nil {
 			t.Skip() // unbuildable parameter combination
 		}
-		w := []int{2, 4, 8}[int(wsel)%3]
+		w := []int{1, 2, 4, 8}[int(wsel)%4]
 		count := 1 + int(countSel)%(64*w)
 		u := NewUniverse(nl)
-		wide, err := NewSimulatorLanes(u, w)
+		sim, err := NewSimulator(u, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		patterns := randomPatterns(prng.New(seed^0x9e3779b97f4a7c15), count, len(nl.Inputs))
-		if err := wide.LoadPatterns(patterns); err != nil {
+		if err := sim.LoadPatterns(patterns); err != nil {
 			t.Fatal(err)
 		}
-		chunks := (count + 63) / 64
-		refs := make([]*Simulator, chunks)
-		for k := range refs {
-			ref, err := NewSimulator(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.LoadPatterns(patterns[64*k : min(64*(k+1), count)]); err != nil {
-				t.Fatal(err)
-			}
-			refs[k] = ref
-		}
+		ref := newFullEval(sim)
 		for _, fault := range u.Faults {
-			got := wide.DetectLanes(fault)
-			anyWant := false
-			for k := 0; k < w; k++ {
-				var want uint64
-				if k < chunks {
-					want = refs[k].DetectMask(fault)
-				}
-				if got[k] != want {
-					t.Fatalf("w=%d count=%d fault %v word %d: wide %064b, reference %064b", w, count, fault, k, got[k], want)
-				}
-				anyWant = anyWant || want != 0
+			want := ref.detectLanes(fault)
+			if got := sim.DetectLanes(fault); !slices.Equal(got, want) {
+				t.Fatalf("w=%d count=%d fault %v: event-driven masks %064b, reference %064b", w, count, fault, got, want)
 			}
-			if any := wide.DetectAny(fault); any != anyWant {
-				t.Fatalf("w=%d count=%d fault %v: DetectAny=%v, reference %v", w, count, fault, any, anyWant)
+			if any := sim.DetectAny(fault); any != anyNonzero(want) {
+				t.Fatalf("w=%d count=%d fault %v: DetectAny=%v, reference masks %v", w, count, fault, any, want)
 			}
 		}
 	})
@@ -410,14 +280,14 @@ func BenchmarkSimulatorArenaBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := NewUniverse(nl)
-	if _, err := NewSimulator(u); err != nil { // warm the shared topology
+	if _, err := NewSimulator(u, 1); err != nil { // warm the shared topology
 		b.Fatal(err)
 	}
 	for _, w := range []int{1, 8} {
 		b.Run(fmt.Sprintf("lanewords=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewSimulatorLanes(u, w); err != nil {
+				if _, err := NewSimulator(u, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -443,7 +313,7 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 	patterns := randomPatterns(prng.New(9), total, len(nl.Inputs))
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("lanewords=%d", w), func(b *testing.B) {
-			sim, err := NewSimulatorLanes(u, w)
+			sim, err := NewSimulator(u, w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -471,7 +341,7 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for bi := range packed {
-					if err := sim.LoadPacked(packed[bi], counts[bi]); err != nil {
+					if err := sim.loadPacked(packed[bi], counts[bi]); err != nil {
 						b.Fatal(err)
 					}
 					for _, f := range u.Faults {
@@ -488,3 +358,42 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 
 // benchSink defeats dead-code elimination of the benchmarked detect masks.
 var benchSink uint64
+
+// loadPacked installs an already bit-sliced batch: words[i*W+k] holds lane
+// word k of input i (bit p of word k = pattern 64k+p) and count is the
+// number of valid lanes, at most Capacity (ErrLaneOverflow past it); lanes
+// at or above count are masked off. BenchmarkDetectAllLaneWidth loads its
+// pre-packed batches with it so the timed loop measures the sweeps, not
+// the bit slicing; TestLoadPackedMatchesLoadPatterns holds it to
+// LoadPatterns.
+func (s *Simulator) loadPacked(words []uint64, count int) error {
+	n := s.u.Net
+	if len(words) != len(n.Inputs)*s.w {
+		return fmt.Errorf("faultsim: %d packed words, want %d (%d inputs × LaneWords=%d)",
+			len(words), len(n.Inputs)*s.w, len(n.Inputs), s.w)
+	}
+	if count > s.Capacity() {
+		return fmt.Errorf("%w: %d patterns, capacity %d (LaneWords=%d)",
+			ErrLaneOverflow, count, s.Capacity(), s.w)
+	}
+	if count < 1 {
+		return fmt.Errorf("faultsim: %d patterns (want 1..%d)", count, s.Capacity())
+	}
+	s.ResetPatterns()
+	for k := range s.loaded {
+		switch rem := count - 64*k; {
+		case rem >= 64:
+			s.loaded[k] = ^uint64(0)
+		case rem > 0:
+			s.loaded[k] = 1<<uint(rem) - 1
+		}
+	}
+	for ii, gi := range n.Inputs {
+		for k := 0; k < s.w; k++ {
+			s.good[gi*s.w+k] = words[ii*s.w+k] & s.loaded[k]
+		}
+	}
+	s.count = count
+	s.dirty = true
+	return nil
+}

@@ -20,6 +20,7 @@
 package stateskiplfsr
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cube"
@@ -87,7 +88,7 @@ func NewEncoderTablesCache() *EncoderTablesCache { return encoder.NewTablesCache
 // of every variant they re-try from the cache instead of rebuilding them.
 // The encodings are identical to EncodeAuto's.
 func EncodeAutoCached(n, width, chains, L int, set *CubeSet, cache *EncoderTablesCache) (*Encoding, uint64, error) {
-	return encoder.EncodeAutoCached(n, width, chains, L, set, 0, cache)
+	return encoder.EncodeAutoCtx(context.Background(), n, width, chains, L, set, 0, cache)
 }
 
 // ReduceOptions returns the standard State Skip options for segment size S
