@@ -265,7 +265,7 @@ func BenchmarkRunAll(b *testing.B) {
 				b.Run(fmt.Sprintf("core=%d/strategy=%v/workers=%d", seed, strategy, workers), func(b *testing.B) {
 					var res *atpg.Result
 					for i := 0; i < b.N; i++ {
-						r, err := atpg.RunAll(u, atpg.Options{
+						r, err := atpg.RunAllCtx(context.Background(), u, atpg.Options{
 							FaultDrop: true, FillSeed: 7, Workers: workers,
 							BacktrackLimit: 20, Backtrace: strategy,
 						})
@@ -378,20 +378,20 @@ func BenchmarkAblationPruning(b *testing.B) {
 	if benchScale() == benchprofile.ScalePaper {
 		L = 100
 	}
-	cfg, err := encoder.StandardConfig(p.LFSRSize, p.Width, p.Chains, L)
+	cfg, err := encoder.StandardConfig(context.Background(), p.LFSRSize, p.Width, p.Chains, L, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var pruned, full int64
 	for i := 0; i < b.N; i++ {
-		encP, err := encoder.Encode(cfg, set)
+		encP, err := encoder.EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pruned = encP.ChecksPerformed
 		cfgNP := cfg
 		cfgNP.NoPruning = true
-		encF, err := encoder.Encode(cfgNP, set)
+		encF, err := encoder.EncodeCtx(context.Background(), cfgNP, set)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -305,7 +305,7 @@ func runEncode(ctx context.Context, scale benchprofile.Scale, args []string) err
 	}
 	fmt.Printf("encoded: %d seeds (PS variant %d), TDV %d bits, full-window TSL %d vectors (%.1fs)\n",
 		len(enc.Seeds), variant, enc.TDV(), enc.TSL(), time.Since(t0).Seconds())
-	fmt.Printf("encoder effort: %d consistency checks, symbolic tables built in %.1fms (shared via cache)\n",
+	fmt.Printf("encoder effort: %d consistency checks, equation index built in %.1fms (symbolic tables shared via cache)\n",
 		enc.ChecksPerformed, enc.TableBuildTime.Seconds()*1000)
 	red, err := stateskip.Reduce(enc, stateskip.DefaultOptions(*S, *k))
 	if err != nil {
@@ -419,7 +419,7 @@ func runVerilog(args []string) error {
 			sep = 8
 		}
 	}
-	ps, err := phaseshifter.NewSeparated(l, *chains, sep)
+	ps, _, err := phaseshifter.NewSeparated(context.Background(), l, *chains, sep, 0)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
 package stateskiplfsr
 
 // Godoc coverage gate: every exported identifier of the public facade
-// (this package) and of internal/atpg — the package downstream ATPG users
-// read first — must carry a doc comment. CI runs this test explicitly
+// (this package) and of the packages listed in docCheckedPackages must
+// carry a doc comment. CI runs this test explicitly
 // ("Godoc coverage" step), so an undocumented export fails the build, not
 // just a review.
 
@@ -21,8 +21,12 @@ import (
 // they enforce, so their godoc is part of the contract; internal/benchrun
 // likewise, since its snapshot schema is what CI diffs run over run;
 // internal/faultsim since the lane/arena/sweep surface is what the ATPG
-// pipeline and the coverage jobs program against.
-var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim"}
+// pipeline and the coverage jobs program against; internal/encoder,
+// internal/phaseshifter and internal/lru since the encoder's tables, the
+// phase shifter's row sweep and the singleflight memo are the seed-encoding
+// path's shared contract.
+var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim",
+	"internal/encoder", "internal/phaseshifter", "internal/lru"}
 
 func TestExportedIdentifiersDocumented(t *testing.T) {
 	for _, dir := range docCheckedPackages {

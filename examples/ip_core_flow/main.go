@@ -60,7 +60,7 @@ func main() {
 
 	// 2. ATPG: collapsed stuck-at faults, PODEM with fault dropping.
 	universe := faultsim.NewUniverse(core)
-	res, err := atpg.RunAll(universe, atpg.Options{FaultDrop: true, FillSeed: 1, Workers: *workers, Backtrace: strategy})
+	res, err := atpg.RunAllCtx(context.Background(), universe, atpg.Options{FaultDrop: true, FillSeed: 1, Workers: *workers, Backtrace: strategy})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,22 +78,18 @@ func main() {
 	fmt.Printf("fault simulation: shipped set covers %.1f%% of all faults (random circuits are redundancy-heavy)\n", cov*100)
 
 	// 4. The integrator's side: compress the cubes. The LFSR must give
-	// s_max some head room (Koenemann's margin). The shared-tables cache
-	// keeps the symbolic simulation of each phase-shifter variant tried at
-	// this configuration, so re-encoding the same geometry (e.g. after
-	// regenerating cubes, or sweeping the fill seed) pays for it once.
+	// s_max some head room (Koenemann's margin).
 	n := sum.MaxSpecified + 12
 	const chains, L = 8, 24
-	encTables := stateskiplfsr.NewEncoderTablesCache()
-	enc, variant, err := stateskiplfsr.EncodeAutoCached(n, sum.Width, chains, L, res.Cubes, encTables)
+	enc, variant, err := stateskiplfsr.EncodeAuto(n, sum.Width, chains, L, res.Cubes)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reseeding: n=%d, %d seeds (variant %d), TDV %d bits vs %d raw bits (%.1fx)\n",
 		n, len(enc.Seeds), variant, enc.TDV(), res.Cubes.Len()*sum.Width,
 		float64(res.Cubes.Len()*sum.Width)/float64(enc.TDV()))
-	fmt.Printf("full-window test sequence: %d vectors (%d consistency checks, tables built in %.1fms)\n",
-		enc.TSL(), enc.ChecksPerformed, enc.TableBuildTime.Seconds()*1000)
+	fmt.Printf("full-window test sequence: %d vectors (%d consistency checks)\n",
+		enc.TSL(), enc.ChecksPerformed)
 
 	// 5. State Skip reduction.
 	red, err := stateskiplfsr.Reduce(enc, stateskiplfsr.ReduceOptions(4, 12))

@@ -849,7 +849,7 @@ type Result struct {
 	Coverage float64
 }
 
-// Options tunes RunAll.
+// Options tunes RunAllCtx.
 type Options struct {
 	// FaultDrop simulates each new cube (X-filled randomly) against the
 	// remaining faults and drops everything it detects, like Atalanta.
@@ -865,7 +865,7 @@ type Options struct {
 	// and fault-simulator-verified — cubes; within one strategy results
 	// stay bit-identical for any Workers value.
 	Backtrace Backtrace
-	// Workers parallelizes RunAll: cube generation runs speculatively on a
+	// Workers parallelizes RunAllCtx: cube generation runs speculatively on a
 	// pool of per-worker Generators over a sliding window of upcoming
 	// faults, and the fault-drop sweep of each committed 64-pattern batch
 	// is sharded across a pool of fault simulators. 0 or negative means
@@ -884,8 +884,8 @@ type Options struct {
 	// sweep width.
 	LaneWords int
 	// Tables optionally supplies prebuilt shared tables for the universe's
-	// netlist, so repeated RunAll calls over one circuit skip rebuilding
-	// levelization, fan-out lists and SCOAP weights. When nil, RunAll
+	// netlist, so repeated RunAllCtx calls over one circuit skip rebuilding
+	// levelization, fan-out lists and SCOAP weights. When nil, RunAllCtx
 	// builds them once per invocation (never once per worker).
 	Tables *Tables
 	// CheckpointEvery, when > 0 together with Checkpoint, snapshots the
@@ -900,33 +900,29 @@ type Options struct {
 	// Resume, when non-nil, starts the run from a prior snapshot instead
 	// of from scratch; the final Result is bit-identical to the
 	// uninterrupted run's. The checkpoint must Match the universe or
-	// RunAll fails before touching any fault.
+	// RunAllCtx fails before touching any fault.
 	Resume *Checkpoint
 }
 
-// RunAll generates test cubes for every fault of the universe.
+// RunAllCtx generates test cubes for every fault of the universe.
 //
 // With FaultDrop on, committed patterns accumulate into 64×LaneWords-wide
 // batches so every sharded sweep over the remaining universe fills all the
 // simulator lanes; between sweeps each PODEM candidate is first checked
 // against the pending (not yet swept) lanes with one event-driven
-// DetectAny. A fault
-// therefore reaches PODEM exactly when no earlier committed pattern
-// detects it — the same rule as the classic sweep-after-every-pattern
-// loop, which this replaces bit for bit at a fraction of the simulation
-// work.
-func RunAll(u *faultsim.Universe, opt Options) (*Result, error) {
-	return RunAllCtx(context.Background(), u, opt)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation: the context is polled
-// at every fault boundary and, amortized, inside each PODEM run, so a
-// cancel or deadline takes effect within microseconds of the engines
-// noticing it. A cancelled run returns the partial Result accumulated so
-// far (counters and cubes for every fault committed before the cancel,
-// coverage computed over the full universe) alongside an error wrapping
-// context.Canceled or context.DeadlineExceeded. An uncancelled run is
-// bit-identical to RunAll.
+// DetectAny. A fault therefore reaches PODEM exactly when no earlier
+// committed pattern detects it — the same rule as the classic
+// sweep-after-every-pattern loop, which this replaces bit for bit at a
+// fraction of the simulation work.
+//
+// Cancellation is cooperative: the context is polled at every fault
+// boundary and, amortized, inside each PODEM run, so a cancel or deadline
+// takes effect within microseconds of the engines noticing it. A
+// cancelled run returns the partial Result accumulated so far (counters
+// and cubes for every fault committed before the cancel, coverage computed
+// over the full universe) alongside an error wrapping context.Canceled or
+// context.DeadlineExceeded. An uncancelled run is bit-identical for any
+// Workers and LaneWords value.
 func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result, error) {
 	tables := opt.Tables
 	if tables == nil {
@@ -982,7 +978,7 @@ func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result,
 	return r.res, nil
 }
 
-// runner holds the shared state of one RunAll invocation. All of it is
+// runner holds the shared state of one RunAllCtx invocation. All of it is
 // owned by the committing goroutine — generation workers only ever touch
 // their own job slots — so the done evolution, the FillSeed stream and
 // every counter advance in fault-index order regardless of scheduling.

@@ -76,7 +76,7 @@ func TestC17EveryFaultTestable(t *testing.T) {
 func TestRunAllC17FullCoverage(t *testing.T) {
 	n := readC17(t)
 	u := faultsim.NewUniverse(n)
-	res, err := RunAll(u, Options{FaultDrop: true, FillSeed: 7})
+	res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRandomCircuitsHighCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := faultsim.NewUniverse(nl)
-		res, err := RunAll(u, Options{FaultDrop: true, FillSeed: seed})
+		res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,12 +97,12 @@ func TestMultiRunAllCoverageNoLower(t *testing.T) {
 	for name, nl := range runAllCircuits(t) {
 		u := faultsim.NewUniverse(nl)
 		opt := Options{FaultDrop: true, FillSeed: 99, BacktrackLimit: 40}
-		ref, err := RunAll(u, opt)
+		ref, err := RunAllCtx(context.Background(), u, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Backtrace = BacktraceMulti
-		multi, err := RunAll(u, opt)
+		multi, err := RunAllCtx(context.Background(), u, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestMultiPatternsReachReportedCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := faultsim.NewUniverse(nl)
-		res, err := RunAll(u, Options{FaultDrop: true, FillSeed: seed, Backtrace: BacktraceMulti})
+		res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: seed, Backtrace: BacktraceMulti})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,8 +98,8 @@ func TestRunAllCtxDeadline(t *testing.T) {
 }
 
 // TestRunAllCtxUncancelledBitIdentical pins the cancellation plumbing's
-// zero-overhead contract: RunAllCtx with a background context must equal
-// RunAll exactly, counters included.
+// zero-overhead contract: RunAllCtx with a live, never-fired context must
+// equal a background-context run exactly, counters included.
 func TestRunAllCtxUncancelledBitIdentical(t *testing.T) {
 	core, err := netlist.Random(netlist.RandomConfig{
 		Inputs: 40, Outputs: 24, Gates: 300, MaxFan: 3, Seed: 7,
@@ -108,17 +108,19 @@ func TestRunAllCtxUncancelledBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{FaultDrop: true, FillSeed: 7}
-	resA, err := RunAll(faultsim.NewUniverse(core), opt)
+	resA, err := RunAllCtx(context.Background(), faultsim.NewUniverse(core), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := RunAllCtx(context.Background(), faultsim.NewUniverse(core), opt)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resB, err := RunAllCtx(live, faultsim.NewUniverse(core), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resA.Detected != resB.Detected || resA.Untestable != resB.Untestable ||
 		resA.Aborted != resB.Aborted || resA.Backtracks != resB.Backtracks ||
 		resA.Coverage != resB.Coverage || resA.Cubes.Len() != resB.Cubes.Len() {
-		t.Fatalf("RunAllCtx(Background) differs from RunAll:\n%+v\nvs\n%+v", resA, resB)
+		t.Fatalf("RunAllCtx(live ctx) differs from RunAllCtx(Background):\n%+v\nvs\n%+v", resA, resB)
 	}
 }

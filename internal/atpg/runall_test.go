@@ -147,7 +147,7 @@ func TestRunAllWorkersBitIdentical(t *testing.T) {
 				for _, workers := range []int{1, 2, 8, 0} {
 					o := opt
 					o.Workers = workers
-					got, err := RunAll(u, o)
+					got, err := RunAllCtx(context.Background(), u, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -171,7 +171,7 @@ func TestRunAllWorkersNoFaultDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 0} {
-		got, err := RunAll(u, Options{Workers: workers})
+		got, err := RunAllCtx(context.Background(), u, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func BenchmarkRunAllSerialBatching(b *testing.B) {
 	opt := Options{FaultDrop: true, FillSeed: 7, Workers: 1, BacktrackLimit: 20}
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunAll(u, opt); err != nil {
+			if _, err := RunAllCtx(context.Background(), u, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package decompressor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -18,7 +19,7 @@ func buildSchedule(t testing.TB, name string, numCubes, L, S, k int) *Schedule {
 		p.NumCubes = numCubes
 	}
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

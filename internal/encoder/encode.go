@@ -19,9 +19,12 @@ import (
 
 // Config describes one encoding run.
 type Config struct {
+	// LFSR is the decompressor's register; seeds are n = LFSR.Size() bits.
 	LFSR *lfsr.LFSR
-	PS   *phaseshifter.PhaseShifter
-	Geo  scan.Geometry
+	// PS is the phase shifter between the LFSR cells and the scan chains.
+	PS *phaseshifter.PhaseShifter
+	// Geo is the scan-chain geometry the window vectors are shifted into.
+	Geo scan.Geometry
 	// WindowLen is L, the number of vectors each seed expands into.
 	// L = 1 is classical reseeding.
 	WindowLen int
@@ -33,9 +36,8 @@ type Config struct {
 	// result is identical, only slower).
 	NoPruning bool
 	// Tables optionally supplies prebuilt shared symbolic tables. They must
-	// wrap this Config's exact LFSR, PS and Geo values; the window is
-	// extended in place if the tables are shorter than WindowLen. Nil builds
-	// private tables.
+	// wrap this Config's exact LFSR, PS and Geo values and WindowLen. Nil
+	// builds private tables.
 	Tables *Tables
 }
 
@@ -47,21 +49,29 @@ type Assignment struct {
 
 // Seed is one computed LFSR seed together with the cubes it encodes.
 type Seed struct {
-	Value       gf2.Vec
+	// Value is the n-bit LFSR state loaded at the start of the window.
+	Value gf2.Vec
+	// Assignments lists the cubes deliberately embedded in this seed's
+	// window, in the order the encoder committed them.
 	Assignments []Assignment
 }
 
 // Encoding is the result of compressing a cube set.
 type Encoding struct {
-	Cfg   Config
-	Set   *cube.Set
+	// Cfg is the configuration the encoding was computed with.
+	Cfg Config
+	// Set is the encoded cube set; Assignment.Cube indexes into it.
+	Set *cube.Set
+	// Seeds are the computed seeds, in generation order.
 	Seeds []Seed
 	// ChecksPerformed counts linear-system consistency checks, a measure of
 	// encoder effort used by the pruning ablation.
 	ChecksPerformed int64
-	// TableBuildTime is the wall time this encoding spent materialising
-	// symbolic tables and equation indices — ~0 when Config.Tables served
-	// everything from the shared arena.
+	// TableBuildTime is the wall time EncodeCtx spent building private
+	// symbolic tables (Config.Tables nil) and the cube set's equation
+	// index. Tables supplied through Config.Tables — every EncodeAutoCtx
+	// encoding, whose tables come from a TablesCache — are built outside
+	// EncodeCtx and not counted.
 	TableBuildTime time.Duration
 }
 
@@ -72,19 +82,17 @@ func (e *Encoding) TDV() int { return len(e.Seeds) * e.Cfg.LFSR.Size() }
 // window-based scheme: every seed expands into a full window.
 func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 
-// Encode compresses the cube set into LFSR seeds. The input set is not
-// modified. Encode fails if some cube cannot be embedded anywhere even by a
-// dedicated seed (the LFSR is too small for the test set).
-func Encode(cfg Config, set *cube.Set) (*Encoding, error) {
-	return EncodeCtx(context.Background(), cfg, set)
-}
-
-// EncodeCtx is Encode with cooperative cancellation: every candidate-scan
-// worker polls the context once per checkStride consistency checks and the
-// seed-construction loop polls it at every tier boundary, so a cancel or
-// deadline stops the encoder within microseconds of the engines noticing.
-// A cancelled encode returns an error wrapping context.Canceled or
-// context.DeadlineExceeded; an uncancelled run is bit-identical to Encode.
+// EncodeCtx compresses the cube set into LFSR seeds. The input set is not
+// modified. EncodeCtx fails if some cube cannot be embedded anywhere even
+// by a dedicated seed (the LFSR is too small for the test set).
+//
+// Cancellation is cooperative: a private table build polls the context
+// every few symbolic cycles, every candidate-scan worker polls it once per
+// checkStride consistency checks and the seed-construction loop polls it at
+// every tier boundary, so a cancel or deadline stops the encoder within
+// microseconds of the engines noticing. A cancelled encode returns an
+// error wrapping context.Canceled or context.DeadlineExceeded; an
+// uncancelled run is bit-identical for any Workers value.
 func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error) {
 	if cfg.WindowLen < 1 {
 		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", cfg.WindowLen)
@@ -95,24 +103,19 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	if set.Width != cfg.Geo.Width {
 		return nil, fmt.Errorf("encoder: cube width %d != scan width %d", set.Width, cfg.Geo.Width)
 	}
+	t0 := time.Now()
 	tabs := cfg.Tables
 	if tabs == nil {
 		var err error
-		tabs, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
-		if err != nil {
+		if tabs, err = NewTables(ctx, cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen); err != nil {
 			return nil, err
 		}
-	} else if tabs.l != cfg.LFSR || tabs.ps != cfg.PS || tabs.geo != cfg.Geo {
-		return nil, fmt.Errorf("encoder: Config.Tables built for a different decompressor")
-	}
-	t0 := time.Now()
-	table, err := tabs.EnsureLenCtx(ctx, cfg.WindowLen)
-	if err != nil {
-		return nil, err
+	} else if tabs.l != cfg.LFSR || tabs.ps != cfg.PS || tabs.geo != cfg.Geo || tabs.winLen != cfg.WindowLen {
+		return nil, fmt.Errorf("encoder: Config.Tables built for a different decompressor or window length")
 	}
 	sys := tabs.Systems(set)
 	built := time.Since(t0)
-	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
+	enc, err := encodeWithTable(ctx, cfg, set, tabs, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +167,7 @@ type encodeState struct {
 	ctx     context.Context
 	cfg     Config
 	set     *cube.Set
-	table   *ExprTable
+	table   *Tables
 	sys     *systemIndex
 	n       int
 	L       int
@@ -190,7 +193,7 @@ type encodeState struct {
 	stop atomic.Bool
 }
 
-func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, error) {
+func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Tables, sys *systemIndex) (*Encoding, error) {
 	st := &encodeState{
 		ctx:     ctx,
 		cfg:     cfg,

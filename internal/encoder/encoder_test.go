@@ -11,12 +11,15 @@ import (
 	"repro/internal/benchprofile"
 	"repro/internal/cube"
 	"repro/internal/gf2"
+	"repro/internal/lfsr"
+	"repro/internal/phaseshifter"
 	"repro/internal/prng"
+	"repro/internal/scan"
 )
 
 func smallConfig(t testing.TB, n, width, chains, L int) Config {
 	t.Helper()
-	cfg, err := StandardConfig(n, width, chains, L)
+	cfg, err := StandardConfig(context.Background(), n, width, chains, L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +29,53 @@ func smallConfig(t testing.TB, n, width, chains, L int) Config {
 // TestTableMatchesGeneration pins the symbolic expression table to the
 // concrete window generator: for random seeds, evaluating each table
 // expression at the seed must equal the generated stimulus bit. Everything
-// else in the repository rests on this equality.
+// else in the repository rests on this equality. Both table sources are
+// checked: the standard tables built from the phase shifter's separation
+// rows, and NewTables' own simulation of the same decompressor and of a
+// hand-built Galois one.
 func TestTableMatchesGeneration(t *testing.T) {
 	cfg := smallConfig(t, 16, 50, 4, 6)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	rebuilt, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, table := range []*Tables{cfg.Tables, rebuilt} {
+		checkTableMatchesGeneration(t, cfg, table)
+	}
+
+	// A hand-built Galois decompressor: the register forms step their
+	// symbolic state differently.
+	taps, ok := lfsr.Taps(18)
+	if !ok {
+		t.Fatal("no curated taps for n=18")
+	}
+	galois, err := lfsr.NewFromTaps(lfsr.Galois, 18, taps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := scan.New(60, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := phaseshifter.New(18, [][]int{{0, 5, 11}, {1, 7, 13}, {2, 9, 15}, {3, 6, 17}, {4, 10, 14}, {8, 12, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := Config{LFSR: galois, PS: ps, Geo: geo, WindowLen: 7}
+	gtab, err := NewTables(context.Background(), galois, ps, geo, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTableMatchesGeneration(t, gcfg, gtab)
+}
+
+func checkTableMatchesGeneration(t *testing.T, cfg Config, table *Tables) {
+	t.Helper()
 	src := prng.New(99)
+	n := cfg.LFSR.Size()
 	for trial := 0; trial < 10; trial++ {
-		seed := gf2.NewVec(16)
-		for i := 0; i < 16; i++ {
+		seed := gf2.NewVec(n)
+		for i := 0; i < n; i++ {
 			seed.SetBit(i, src.Bit())
 		}
 		window := GenerateWindow(cfg.LFSR, cfg.PS, cfg.Geo, seed, cfg.WindowLen)
@@ -67,7 +106,7 @@ func genSet(t testing.TB, name string, scaleCubes int) *cube.Set {
 func TestEncodeRoundTrip(t *testing.T) {
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	enc, err := Encode(cfg, set)
+	enc, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +127,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 func TestClassicalReseedingL1(t *testing.T) {
 	set := genSet(t, "s9234", 30)
 	cfg := smallConfig(t, 24, set.Width, 8, 1)
-	enc, err := Encode(cfg, set)
+	enc, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +150,7 @@ func TestWindowEncodingNeedsFewerSeeds(t *testing.T) {
 	var prevSeeds int
 	for i, L := range []int{1, 8, 32} {
 		cfg := smallConfig(t, 16, set.Width, 8, L)
-		enc, err := Encode(cfg, set)
+		enc, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +189,11 @@ func assertEncodingsIdentical(t *testing.T, label string, a, b *Encoding) {
 func TestEncodeDeterministic(t *testing.T) {
 	set := genSet(t, "s15850", 30)
 	cfg := smallConfig(t, 20, set.Width, 8, 10)
-	a, err := Encode(cfg, set)
+	a, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(cfg, set)
+	b, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +209,13 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
 	cfg := smallConfig(t, 32, set.Width, 8, 12)
 	cfg.Workers = 1
-	want, err := Encode(cfg, set)
+	want, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 0} {
 		cfg.Workers = workers
-		got, err := Encode(cfg, set)
+		got, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -216,7 +255,7 @@ func TestEncodeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := p.Generate()
-			enc, variant, err := EncodeAuto(p.LFSRSize, p.Width, p.Chains, g.L, set)
+			enc, variant, err := EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, g.L, set, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,21 +283,22 @@ func TestEncodeGolden(t *testing.T) {
 func TestEncodeSharedTablesIdentical(t *testing.T) {
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	want, err := Encode(cfg, set)
+	cfg.Tables = nil
+	want, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+	tabs, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Tables = tabs
-	first, err := Encode(cfg, set)
+	first, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertEncodingsIdentical(t, "shared tables", want, first)
-	again, err := Encode(cfg, set)
+	again, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,18 +325,23 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 }
 
 // TestEncodeRejectsForeignTables guards the Config.Tables validation: a
-// Tables built for one decompressor must not silently encode another.
+// Tables built for one decompressor, or for another window length, must
+// not silently encode.
 func TestEncodeRejectsForeignTables(t *testing.T) {
 	set := genSet(t, "s9234", 10)
 	cfg := smallConfig(t, 24, set.Width, 8, 4)
 	other := smallConfig(t, 24, set.Width, 8, 4)
-	tabs, err := NewTables(other.LFSR, other.PS, other.Geo)
+	cfg.Tables = other.Tables
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
+		t.Error("foreign tables accepted")
+	}
+	longer, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Tables = tabs
-	if _, err := Encode(cfg, set); err == nil {
-		t.Error("foreign tables accepted")
+	cfg.Tables = longer
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
+		t.Error("tables of another window length accepted")
 	}
 }
 
@@ -305,12 +350,12 @@ func TestPruningAblationIdentical(t *testing.T) {
 	// number of consistency checks performed.
 	set := genSet(t, "s9234", 25)
 	cfg := smallConfig(t, 24, set.Width, 8, 8)
-	pruned, err := Encode(cfg, set)
+	pruned, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.NoPruning = true
-	full, err := Encode(cfg, set)
+	full, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +376,15 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	set := genSet(t, "s9234", 10)
 	cfg := smallConfig(t, 24, set.Width, 8, 4)
 	cfg.WindowLen = 0
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("L=0 accepted")
 	}
 	cfg = smallConfig(t, 24, set.Width+10, 8, 4)
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("width mismatch accepted")
 	}
 	cfg = smallConfig(t, 24, set.Width, 8, 4)
-	if _, err := Encode(cfg, cube.NewSet(set.Width)); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, cube.NewSet(set.Width)); err == nil {
 		t.Error("empty set accepted")
 	}
 }
@@ -354,7 +399,7 @@ func TestEncodeFailsWhenLFSRTooSmall(t *testing.T) {
 	}
 	set.Add(dense)
 	cfg := smallConfig(t, 12, 64, 4, 2)
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("expected failure for oversized cube, got success")
 	}
 }
@@ -369,7 +414,7 @@ func TestAllCIProfilesEncodable(t *testing.T) {
 			t.Parallel()
 			set := p.Generate()
 			cfg := smallConfig(t, p.LFSRSize, p.Width, p.Chains, 16)
-			enc, err := Encode(cfg, set)
+			enc, err := EncodeCtx(context.Background(), cfg, set)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,12 @@
 package encoder
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cube"
 	"repro/internal/gf2"
-	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/prng"
-	"repro/internal/scan"
 )
 
 // TestDependenciesPositionInvariant pins the structural fact the whole
@@ -18,10 +16,7 @@ import (
 // among a fixed set of slots are identical at every window position.
 func TestDependenciesPositionInvariant(t *testing.T) {
 	cfg := smallConfig(t, 16, 60, 4, 8)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := cfg.Tables
 	src := prng.New(31)
 	for trial := 0; trial < 30; trial++ {
 		// Pick a random slot subset and a random combination over it.
@@ -52,89 +47,28 @@ func TestDependenciesPositionInvariant(t *testing.T) {
 	}
 }
 
-// TestExprTableIncrementalExtension pins the Tables growth path: extending
-// a shared arena from window length L1 to L2 must produce expressions bit-
-// identical to a fresh build at L2 — the retained symbolic simulation must
-// resume exactly where the prefix ended. Checked for both register forms,
-// since their Step recurrences rotate the symbolic state differently.
-func TestExprTableIncrementalExtension(t *testing.T) {
-	taps, ok := lfsr.Taps(18)
-	if !ok {
-		t.Fatal("no curated taps for n=18")
-	}
-	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
-		form := form
-		t.Run(form.String(), func(t *testing.T) {
-			l, err := lfsr.NewFromTaps(form, 18, taps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			geo, err := scan.New(60, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := phaseshifter.New(18, [][]int{{0, 5, 11}, {1, 7, 13}, {2, 9, 15}, {3, 6, 17}, {4, 10, 14}, {8, 12, 16}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tabs, err := NewTables(l, ps, geo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Grow 4 → 7 → 13, checking every snapshot against a fresh build
-			// and re-checking earlier snapshots after later extensions.
-			var snaps []*ExprTable
-			for _, L := range []int{4, 7, 13} {
-				snap, err := tabs.EnsureLen(L)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snaps = append(snaps, snap)
-				fresh, err := BuildExprTable(l, ps, geo, L)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, tab := range snaps {
-					for v := 0; v < tab.L; v++ {
-						for pos := 0; pos < geo.Width; pos++ {
-							if !tab.Expr(v, pos).Equal(fresh.Expr(v, pos)) {
-								t.Fatalf("L=%d snapshot(L=%d): expr (%d,%d) differs from fresh build", L, tab.L, v, pos)
-							}
-						}
-					}
-				}
-			}
-			// Shrinking requests reuse the prefix without re-simulating.
-			small, err := tabs.EnsureLen(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if small.L != 2 || small.Rows().Count() != 2*geo.Length*geo.Chains {
-				t.Fatalf("L=2 snapshot has %d rows", small.Rows().Count())
-			}
-		})
-	}
-}
-
+// TestBuildExprTableValidation checks NewTables' wiring validation.
 func TestBuildExprTableValidation(t *testing.T) {
 	cfg := smallConfig(t, 16, 50, 4, 4)
-	if _, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, 0); err == nil {
+	if _, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, 0); err == nil {
 		t.Error("L=0 accepted")
 	}
 	// Phase shifter with the wrong output count.
 	geo2 := cfg.Geo
 	geo2.Chains = 5
-	if _, err := BuildExprTable(cfg.LFSR, cfg.PS, geo2, 4); err == nil {
+	if _, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, geo2, 4); err == nil {
 		t.Error("chain-count mismatch accepted")
+	}
+	// Phase shifter for another register size.
+	other := smallConfig(t, 20, 50, 4, 4)
+	if _, err := NewTables(context.Background(), other.LFSR, cfg.PS, cfg.Geo, 4); err == nil {
+		t.Error("LFSR-size mismatch accepted")
 	}
 }
 
 func TestExprTableMemoryBounded(t *testing.T) {
 	cfg := smallConfig(t, 24, 100, 8, 10)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := cfg.Tables
 	// cycles × chains × words × 8 bytes.
 	cycles := cfg.WindowLen * cfg.Geo.Length
 	want := cycles * cfg.Geo.Chains * 1 * 8
@@ -145,10 +79,7 @@ func TestExprTableMemoryBounded(t *testing.T) {
 
 func TestEquationsMatchCubeBits(t *testing.T) {
 	cfg := smallConfig(t, 16, 40, 4, 6)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := cfg.Tables
 	padded := cube.MustParse("1xx0xxxxxx1xxxxxxxxx0xxxxxxxxx1xxxxxxxx1")
 	if padded.Width() != 40 {
 		t.Fatalf("test cube width %d", padded.Width())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestTablesCacheBuildsOnceUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g], errs[g] = cache.TablesFor(24, 64, 8, 4, 0)
+			got[g], errs[g] = cache.TablesFor(context.Background(), 24, 64, 8, 4, 0)
 		}(g)
 	}
 	wg.Wait()
@@ -43,7 +44,7 @@ func TestTablesCacheSetMaxEvicts(t *testing.T) {
 	cache := NewTablesCache()
 	cache.SetMax(2)
 	for _, L := range []int{2, 3, 4} {
-		if _, err := cache.TablesFor(24, 64, 8, L, 0); err != nil {
+		if _, err := cache.TablesFor(context.Background(), 24, 64, 8, L, 0); err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
 	}
@@ -54,7 +55,7 @@ func TestTablesCacheSetMaxEvicts(t *testing.T) {
 		t.Fatalf("Evictions = %d, want 1", cache.Evictions())
 	}
 	// L=2 is the LRU victim; re-requesting it rebuilds.
-	if _, err := cache.TablesFor(24, 64, 8, 2, 0); err != nil {
+	if _, err := cache.TablesFor(context.Background(), 24, 64, 8, 2, 0); err != nil {
 		t.Fatalf("rebuild after eviction: %v", err)
 	}
 	if b := cache.Builds(); b != 4 {
@@ -62,46 +63,55 @@ func TestTablesCacheSetMaxEvicts(t *testing.T) {
 	}
 }
 
-// TestEnsureLenCtxAbortResumes cancels a symbolic-table extension midway
-// and verifies (a) the error wraps the context error, (b) the tables stay
-// internally consistent, and (c) a later uncancelled call resumes and
-// produces a table identical to one built in a single shot.
-func TestEnsureLenCtxAbortResumes(t *testing.T) {
-	cfg, err := StandardConfig(24, 64, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aborted, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := aborted.EnsureLenCtx(canceled, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EnsureLenCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	snap, err := aborted.EnsureLenCtx(context.Background(), 8)
-	if err != nil {
-		t.Fatalf("resume after abort: %v", err)
-	}
+// pollCountdown is a context whose Err reports nil for its first polls
+// and context.Canceled from then on, so a build can be cancelled at a
+// deterministic point partway through its symbolic simulation.
+type pollCountdown struct {
+	context.Context
+	left atomic.Int64
+}
 
-	fresh, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+func (c *pollCountdown) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTablesForCancelledLeaderNotCached cancels the leader of a
+// configuration's build partway through the phase-shifter design: it must
+// get context.Canceled and leave nothing cached, the next caller must
+// build the tables afresh and successfully, and Builds must count both.
+func TestTablesForCancelledLeaderNotCached(t *testing.T) {
+	cache := NewTablesCache()
+	leader := &pollCountdown{Context: context.Background()}
+	leader.left.Store(3)
+	if _, err := cache.TablesFor(leader, 24, 64, 8, 8, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: err = %v, want context.Canceled", err)
+	}
+	if leader.left.Load() >= 0 {
+		t.Fatalf("the build stopped before its symbolic simulation polled the context")
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("cancelled build cached: Len = %d", cache.Len())
+	}
+	got, err := cache.TablesFor(context.Background(), 24, 64, 8, 8, 0)
+	if err != nil {
+		t.Fatalf("build after a cancelled leader: %v", err)
+	}
+	want, err := StandardConfig(context.Background(), 24, 64, 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.EnsureLen(8)
-	if err != nil {
-		t.Fatal(err)
+	if got.Rows().Count() != want.Tables.Rows().Count() {
+		t.Fatalf("rows %d, want %d", got.Rows().Count(), want.Tables.Rows().Count())
 	}
-	if len(aborted.arena) != len(fresh.arena) {
-		t.Fatalf("arena length after resume %d != fresh %d", len(aborted.arena), len(fresh.arena))
-	}
-	for i := range fresh.arena {
-		if aborted.arena[i] != fresh.arena[i] {
-			t.Fatalf("arena word %d differs after abort+resume", i)
+	for i := 0; i < got.Rows().Count(); i++ {
+		if !got.Rows().Row(i).Equal(want.Tables.Rows().Row(i)) {
+			t.Fatalf("row %d differs from a fresh build", i)
 		}
 	}
-	if snap.L != want.L || snap.N != want.N {
-		t.Fatalf("snapshot header differs: %+v vs %+v", snap, want)
+	if b := cache.Builds(); b != 2 {
+		t.Fatalf("Builds = %d, want 2 (cancelled + successful)", b)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // output feeds one scan chain. The returned vectors have geo.Width bits
 // (padding slots are dropped).
 //
-// This concrete path and the symbolic ExprTable describe the same machine;
+// This concrete path and the symbolic Tables describe the same machine;
 // TestTableMatchesGeneration pins them together, and the whole encoding
 // story rests on that equality.
 func GenerateWindow(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry, seed gf2.Vec, L int) []gf2.Vec {

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -127,17 +126,14 @@ type Session struct {
 	// contexts to the *Ctx methods instead.
 	Ctx context.Context
 
-	mu   sync.Mutex
-	sets *lru.Cache[string, *memo[*cube.Set]]                // guarded by mu
-	encs *lru.Cache[encKey, *memo[*encoder.Encoding]]        // guarded by mu
-	idxs *lru.Cache[encKey, *memo[*stateskip.VecEmbeddings]] // guarded by mu
-	tabs *lru.Cache[*netlist.Netlist, *memo[*atpg.Tables]]   // guarded by mu
+	sets *lru.Memo[string, *cube.Set]
+	encs *lru.Memo[encKey, *encoder.Encoding]
+	idxs *lru.Memo[encKey, *stateskip.VecEmbeddings]
+	tabs *lru.Memo[*netlist.Netlist, *atpg.Tables]
 
-	// stats counts artefact builds and cache hits; see Stats.
+	// stats accumulates artefact build wall time; see Stats.
 	stats struct {
-		setBuilds, encBuilds, idxBuilds, tabBuilds atomic.Int64
-		hits                                       atomic.Int64
-		setNS, encNS, idxNS, tabNS                 atomic.Int64
+		setNS, encNS, idxNS, tabNS atomic.Int64
 	}
 }
 
@@ -166,16 +162,14 @@ type SessionStats struct {
 
 // Stats snapshots the session's cache counters.
 func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
 	ev := s.sets.Evictions() + s.encs.Evictions() + s.idxs.Evictions() + s.tabs.Evictions()
 	n := s.sets.Len() + s.encs.Len() + s.idxs.Len() + s.tabs.Len()
-	s.mu.Unlock()
 	return SessionStats{
-		SetBuilds:       s.stats.setBuilds.Load(),
-		EncodingBuilds:  s.stats.encBuilds.Load(),
-		IndexBuilds:     s.stats.idxBuilds.Load(),
-		TableBuilds:     s.stats.tabBuilds.Load(),
-		Hits:            s.stats.hits.Load(),
+		SetBuilds:       s.sets.Builds(),
+		EncodingBuilds:  s.encs.Builds(),
+		IndexBuilds:     s.idxs.Builds(),
+		TableBuilds:     s.tabs.Builds(),
+		Hits:            s.sets.Hits() + s.encs.Hits() + s.idxs.Hits() + s.tabs.Hits(),
 		Evictions:       int64(ev),
 		Cached:          n,
 		SetBuildNS:      s.stats.setNS.Load(),
@@ -192,8 +186,6 @@ func (s *Session) Stats() SessionStats {
 // slot only — an in-flight build keeps running for its waiters; a
 // re-request after eviction recomputes.
 func (s *Session) SetMaxCached(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sets.SetMax(n)
 	s.encs.SetMax(n)
 	s.idxs.SetMax(n)
@@ -203,25 +195,6 @@ func (s *Session) SetMaxCached(n int) {
 type encKey struct {
 	circuit string
 	L       int
-}
-
-// memo is a singleflight cache slot: the first goroutine to claim a key
-// (the leader) computes it while later ones block on done, so parallel
-// drivers requesting the same (circuit, L) artefact share one
-// computation. Unlike a sync.Once slot, a leader whose own context fires
-// mid-build clears the slot before publishing, so one tenant's cancel
-// never poisons the cache for everyone else — the next requester simply
-// becomes the new leader.
-type memo[V any] struct {
-	done chan struct{} // closed by the leader when val/err are final
-	val  V
-	err  error
-}
-
-// isCtxErr reports whether an error is (or wraps) a context cancellation
-// or deadline — the errors that must not be cached.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // timed wraps an artefact build so its wall time accumulates into ns —
@@ -237,51 +210,6 @@ func timed[V any](ns *atomic.Int64, compute func() (V, error)) func() (V, error)
 	}
 }
 
-// cached returns the memoized value for key k of cache m (guarded by mu),
-// computing it at most once across all goroutines. The context governs
-// both waiting (a waiter whose ctx fires stops waiting and returns the
-// ctx error) and leadership hand-off (a slot whose leader was cancelled
-// is retried by the next live requester). builds counts computations;
-// hits counts requests served from an existing slot.
-func cached[K comparable, V any](ctx context.Context, mu *sync.Mutex, m *lru.Cache[K, *memo[V]], builds, hits *atomic.Int64, k K, compute func() (V, error)) (V, error) {
-	var zero V
-	for {
-		mu.Lock()
-		e, ok := m.Get(k)
-		if !ok {
-			e = &memo[V]{done: make(chan struct{})}
-			m.Add(k, e)
-			mu.Unlock()
-			builds.Add(1)
-			e.val, e.err = compute()
-			if e.err != nil && isCtxErr(e.err) {
-				// The leader was cancelled: clear the slot (if it is still
-				// ours — eviction may have raced) before waking waiters, so
-				// a later requester recomputes instead of inheriting the
-				// cancellation.
-				mu.Lock()
-				if cur, ok := m.Get(k); ok && cur == e {
-					m.Remove(k)
-				}
-				mu.Unlock()
-			}
-			close(e.done)
-			return e.val, e.err
-		}
-		mu.Unlock()
-		hits.Add(1)
-		select {
-		case <-e.done:
-			if e.err != nil && isCtxErr(e.err) && ctx.Err() == nil {
-				continue // leader cancelled, we are alive: take over
-			}
-			return e.val, e.err
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
-}
-
 // NewSession creates a session at the given scale with that scale's
 // default parameters. Caches start unbounded; see SetMaxCached.
 func NewSession(scale benchprofile.Scale) *Session {
@@ -289,10 +217,10 @@ func NewSession(scale benchprofile.Scale) *Session {
 		Scale:     scale,
 		Params:    ParamsFor(scale),
 		EncTables: encoder.NewTablesCache(),
-		sets:      lru.New[string, *memo[*cube.Set]](0),
-		encs:      lru.New[encKey, *memo[*encoder.Encoding]](0),
-		idxs:      lru.New[encKey, *memo[*stateskip.VecEmbeddings]](0),
-		tabs:      lru.New[*netlist.Netlist, *memo[*atpg.Tables]](0),
+		sets:      lru.NewMemo[string, *cube.Set](0),
+		encs:      lru.NewMemo[encKey, *encoder.Encoding](0),
+		idxs:      lru.NewMemo[encKey, *stateskip.VecEmbeddings](0),
+		tabs:      lru.NewMemo[*netlist.Netlist, *atpg.Tables](0),
 	}
 }
 
@@ -381,14 +309,12 @@ func (s *Session) Tables(core *netlist.Netlist) (*atpg.Tables, error) {
 // build is not cached, and waiters whose context fires stop waiting.
 func (s *Session) TablesCtx(ctx context.Context, core *netlist.Netlist) (*atpg.Tables, error) {
 	build := timed(&s.stats.tabNS, func() (*atpg.Tables, error) { return atpg.NewTables(core) })
-	t, err := cached(ctx, &s.mu, s.tabs, &s.stats.tabBuilds, &s.stats.hits, core, build)
+	t, err := s.tabs.Get(ctx, core, build)
 	if err != nil || t.Valid(core) {
 		return t, err
 	}
-	s.mu.Lock()
 	s.tabs.Remove(core)
-	s.mu.Unlock()
-	return cached(ctx, &s.mu, s.tabs, &s.stats.tabBuilds, &s.stats.hits, core, build)
+	return s.tabs.Get(ctx, core, build)
 }
 
 // ATPG runs the full PODEM + fault-drop flow over a gate-level core with
@@ -405,7 +331,7 @@ func (s *Session) ATPG(core *netlist.Netlist, fillSeed uint64) (*faultsim.Univer
 // Workers budget and the cached shared Tables of the core, so repeated
 // runs over one netlist pay levelization and SCOAP once; everything else —
 // including Options.Backtrace, which cmd/stateskip's `atpg -backtrace`
-// flag rides through here — passes straight to atpg.RunAll.
+// flag rides through here — passes straight to atpg.RunAllCtx.
 func (s *Session) ATPGOpts(core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
 	return s.ATPGOptsCtx(s.ctx(), core, opt)
 }
@@ -440,7 +366,7 @@ func (s *Session) Set(circuit string) (*cube.Set, error) {
 
 // SetCtx is Set with an explicit context scoping the singleflight build.
 func (s *Session) SetCtx(ctx context.Context, circuit string) (*cube.Set, error) {
-	return cached(ctx, &s.mu, s.sets, &s.stats.setBuilds, &s.stats.hits, circuit, timed(&s.stats.setNS, func() (*cube.Set, error) {
+	return s.sets.Get(ctx, circuit, timed(&s.stats.setNS, func() (*cube.Set, error) {
 		p, err := benchprofile.ByName(circuit, s.Scale)
 		if err != nil {
 			return nil, err
@@ -459,7 +385,7 @@ func (s *Session) Encoding(circuit string, L int) (*encoder.Encoding, error) {
 // encoder's candidate scan (see encoder.EncodeCtx). The leader's context
 // governs the build; a cancelled build is not cached.
 func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*encoder.Encoding, error) {
-	return cached(ctx, &s.mu, s.encs, &s.stats.encBuilds, &s.stats.hits, encKey{circuit, L}, timed(&s.stats.encNS, func() (*encoder.Encoding, error) {
+	return s.encs.Get(ctx, encKey{circuit, L}, timed(&s.stats.encNS, func() (*encoder.Encoding, error) {
 		set, err := s.SetCtx(ctx, circuit)
 		if err != nil {
 			return nil, err
@@ -484,7 +410,7 @@ func (s *Session) Index(circuit string, L int) (*stateskip.VecEmbeddings, error)
 // IndexCtx is Index with an explicit context scoping the singleflight
 // build and the encoding it depends on.
 func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*stateskip.VecEmbeddings, error) {
-	return cached(ctx, &s.mu, s.idxs, &s.stats.idxBuilds, &s.stats.hits, encKey{circuit, L}, timed(&s.stats.idxNS, func() (*stateskip.VecEmbeddings, error) {
+	return s.idxs.Get(ctx, encKey{circuit, L}, timed(&s.stats.idxNS, func() (*stateskip.VecEmbeddings, error) {
 		enc, err := s.EncodingCtx(ctx, circuit, L)
 		if err != nil {
 			return nil, err

@@ -66,7 +66,7 @@ func TestSingleflightCanceledLeaderDoesNotPoison(t *testing.T) {
 // TestSingleflightMixedCancellation races live and cancelled contexts on
 // one key: every live-context caller must end with a valid encoding, and
 // no cancelled caller may corrupt the slot. Exercises the leader hand-off
-// paths of cached() under -race.
+// paths of lru.Memo under -race.
 func TestSingleflightMixedCancellation(t *testing.T) {
 	s := NewSession(benchprofile.ScaleCI)
 	canceled, cancel := context.WithCancel(context.Background())

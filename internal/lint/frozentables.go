@@ -33,17 +33,17 @@ func runFrozenTables(pass *Pass) error {
 		}
 	}
 	report := func(stack []ast.Node, sel *ast.SelectorExpr, fsel *types.Selection, verb string) {
-		ft := fieldOwner[fsel.Obj()]
+		ft := fieldOwner[selectedField(fsel)]
 		fn := enclosingFuncName(stack)
 		if fn != "" && (builderRe.MatchString(fn) || ft.allow[fn]) {
 			return
 		}
 		pass.Reportf(sel.Pos(), "%s frozen field %s.%s outside builder functions (%s is lint:frozen)",
-			verb, ft.name.Name(), fsel.Obj().Name(), ft.name.Name())
+			verb, ft.name.Name(), selectedField(fsel).Name(), ft.name.Name())
 	}
 	check := func(stack []ast.Node, e ast.Expr, verb string) {
 		sel, fsel := rootField(pass, e)
-		if sel == nil || fieldOwner[fsel.Obj()] == nil {
+		if sel == nil || fieldOwner[selectedField(fsel)] == nil {
 			return
 		}
 		report(stack, sel, fsel, verb)

@@ -8,13 +8,13 @@ import (
 )
 
 // LockCheck enforces the `guarded by <mutex>` contracts written on
-// struct fields (Session's memo maps, encoder.Tables' symbolic arena,
-// Netlist's derived caches, LFSR's skip memo): any read or write of a
+// struct fields (lru.Memo's slot cache, encoder.Tables' system-index
+// slot, Netlist's derived caches, LFSR's skip memo): any read or write of a
 // guarded field must happen in a function that acquires the guarding
 // mutex on the same receiver (Lock, or RLock for reads). Two idioms are
 // recognized as safe without a local acquire: passing the field to a
 // function that also receives the guarding mutex ("the lock travels
-// with the data", Session's cached helper), and functions whose name
+// with the data"), and functions whose name
 // ends in "Locked" (the stdlib convention for helpers whose callers hold
 // the lock). The check is flow-insensitive: acquiring anywhere in the
 // function counts, which keeps it simple and has no false negatives for
@@ -74,7 +74,7 @@ func checkFuncLocks(pass *Pass, meta *pkgMeta, fd *ast.FuncDecl) {
 		if !ok || fsel.Kind() != types.FieldVal {
 			return true
 		}
-		field, _ := fsel.Obj().(*types.Var)
+		field := selectedField(fsel)
 		g := meta.guards[field]
 		if g == nil {
 			return true
@@ -122,7 +122,7 @@ func collectAcquires(pass *Pass, meta *pkgMeta, body *ast.BlockStmt) []lockAcqui
 		if !ok || fsel.Kind() != types.FieldVal {
 			return true
 		}
-		mu, _ := fsel.Obj().(*types.Var)
+		mu := selectedField(fsel)
 		if !guardMutexes[mu] {
 			return true
 		}

@@ -28,8 +28,8 @@ var builderRe = regexp.MustCompile(`(?i)^(new|make|build|compute|derive|ensure|e
 // frozenType records the write policy of one lint:frozen struct type.
 type frozenType struct {
 	name   *types.TypeName
-	allow  map[string]bool      // extra allowed writer functions
-	fields map[*types.Var]bool  // frozen fields (guarded fields excluded)
+	allow  map[string]bool     // extra allowed writer functions
+	fields map[*types.Var]bool // frozen fields (guarded fields excluded)
 }
 
 // guardInfo records one "guarded by" relationship inside a struct.
@@ -186,6 +186,18 @@ func rootField(pass *Pass, e ast.Expr) (*ast.SelectorExpr, *types.Selection) {
 			return nil, nil
 		}
 	}
+}
+
+// selectedField returns the declared struct field behind a field
+// selection. In the methods of a generic type, and on its instances, a
+// selection names an instantiated copy of the field; Origin maps it back
+// to the declaration the lint markers were collected from.
+func selectedField(sel *types.Selection) *types.Var {
+	v, _ := sel.Obj().(*types.Var)
+	if v == nil {
+		return nil
+	}
+	return v.Origin()
 }
 
 // namedOf strips pointers and returns the named type of t, if any.

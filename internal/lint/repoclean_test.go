@@ -43,27 +43,38 @@ func TestMetaCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkgs, err := Load(root, "./internal/atpg", "./internal/encoder", "./internal/gf2",
-		"./internal/experiments", "./internal/netlist", "./internal/lfsr")
+		"./internal/experiments", "./internal/netlist", "./internal/lfsr", "./internal/lru")
 	if err != nil {
 		t.Fatal(err)
 	}
 	frozen := make(map[string]bool)
-	guarded := 0
+	guarded := make(map[string]bool)
 	for _, pkg := range pkgs {
 		pass := &Pass{Analyzer: FrozenTables, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info}
 		meta := collectMeta(pass)
 		for tn := range meta.frozen {
 			frozen[pkg.Pkg.Name()+"."+tn.Name()] = true
 		}
-		guarded += len(meta.guards)
+		for v, g := range meta.guards {
+			guarded[pkg.Pkg.Name()+"."+g.structName+"."+v.Name()] = true
+		}
 	}
 	for _, want := range []string{"atpg.Tables", "encoder.Tables", "gf2.RowSet"} {
 		if !frozen[want] {
 			t.Errorf("expected %s to carry the lint:frozen marker", want)
 		}
 	}
-	// Session(4) + encoder.Tables(5) + TablesCache(1) + Netlist(4) + LFSR(1)
-	if guarded < 15 {
-		t.Errorf("expected at least 15 guarded fields across the pipeline, found %d", guarded)
+	// The singleflight memo behind experiments.Session and
+	// encoder.TablesCache, encoder.Tables' system-index slot, the netlist's
+	// lazy analyses and the LFSR's skip-matrix memo.
+	for _, want := range []string{
+		"lru.Memo.m",
+		"encoder.Tables.lastSet", "encoder.Tables.lastSys",
+		"netlist.Netlist.order", "netlist.Netlist.fanouts", "netlist.Netlist.levels", "netlist.Netlist.numLevels",
+		"lfsr.LFSR.skips",
+	} {
+		if !guarded[want] {
+			t.Errorf("expected %s to carry a \"guarded by\" comment", want)
+		}
 	}
 }

@@ -59,3 +59,20 @@ func (t *Tables) Hit() {
 func (s *Scratch) Reset() {
 	s.vals = s.vals[:0] // clean: type not frozen
 }
+
+// Pair is a generic frozen table.
+//
+// lint:frozen
+type Pair[T any] struct {
+	a, b T
+}
+
+func NewPair[T any](a, b T) *Pair[T] {
+	p := &Pair[T]{}
+	p.a, p.b = a, b // clean: constructor
+	return p
+}
+
+func (p *Pair[T]) SetA(v T) {
+	p.a = v // want `write to frozen field Pair.a`
+}

@@ -74,3 +74,21 @@ func (r *RW) Write(v int) {
 	defer r.mu.Unlock()
 	r.n = v // clean
 }
+
+// Memo is a generic guarded cache: inside its methods the selections name
+// instantiated copies of the fields, which must still resolve to the
+// guarded declarations.
+type Memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V // guarded by mu
+}
+
+func (c *Memo[K, V]) Get(k K) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[k] // clean: lock held
+}
+
+func (c *Memo[K, V]) BadLen() int {
+	return len(c.m) // want `read of Memo.m \(guarded by mu\) without c.mu held`
+}

@@ -1,8 +1,9 @@
 // Package lru provides a small generic least-recently-used map used to
-// size-bound the repository's shared artefact caches (experiments.Session
-// memo maps, encoder.TablesCache, the server's core cache) under sustained
-// multi-tenant load. It is deliberately not goroutine-safe: every caller
-// already owns a mutex guarding its cache state, and keeping the locking
+// size-bound the repository's shared artefact caches under sustained
+// multi-tenant load, and Memo, the one singleflight cache built on it
+// (experiments.Session's artefact maps and encoder.TablesCache). Cache is
+// deliberately not goroutine-safe: its callers (Memo, the server's core
+// cache) own a mutex guarding their cache state, and keeping the locking
 // outside avoids double synchronization.
 package lru
 

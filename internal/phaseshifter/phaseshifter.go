@@ -8,10 +8,13 @@
 // The construction here (NewSeparated) taps three cells per output and
 // verifies by symbolic simulation that no two outputs produce the same
 // seed expression anywhere within the encoding window — the separation
-// property window-based reseeding needs.
+// property window-based reseeding needs. That simulation (Rows) yields the
+// expression of every (cycle, output) slot, which is also exactly the
+// table the encoder solves against, so the verified rows are handed on.
 package phaseshifter
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gf2"
@@ -56,7 +59,10 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 
 // NewSeparated builds a 3-tap-per-output phase shifter whose output
 // sequences are verified to have no phase overlap within windowCycles
-// clocks.
+// clocks, and returns it with the rows that verification computed: the
+// expression of every (cycle, output) slot over the seed, exactly as Rows
+// lays them out. The encoder builds its tables from these rows, so the
+// window is simulated once per design.
 //
 // Each output, being an XOR of LFSR cells, produces the register's
 // m-sequence at some phase (the shift-and-add property). If two outputs'
@@ -71,43 +77,47 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 // NewSeparated instead verifies separation directly: it simulates the
 // register symbolically for windowCycles clocks, hashes every output
 // expression, and re-randomises the taps of any output that collides with
-// an earlier one. Tap choice is deterministic (seeded from n, outputs and
-// windowCycles), so identical configurations always yield identical
-// hardware.
-func NewSeparated(l *lfsr.LFSR, outputs, windowCycles int) (*PhaseShifter, error) {
-	return NewSeparatedVariant(l, outputs, windowCycles, 0)
-}
-
-// NewSeparatedVariant is NewSeparated with a design-variant salt. Pairwise
-// phase separation cannot rule out *higher-weight* translation-invariant
-// relations (e.g. output a XOR output b at equal cycles equalling output c a
-// few cycles earlier); when a test set happens to specify slots on such a
-// relation with odd parity, that cube is structurally unencodable under
-// this particular shifter and the flow retries with the next variant —
-// mirroring real DFT practice, where the phase shifter is iterated until
-// the test set encodes. See encoder.EncodeAuto.
-func NewSeparatedVariant(l *lfsr.LFSR, outputs, windowCycles int, variant uint64) (*PhaseShifter, error) {
+// an earlier one. Tap choice is deterministic (seeded from n, outputs,
+// windowCycles and variant), so identical configurations always yield
+// identical hardware.
+//
+// The variant salts the tap draw. Pairwise phase separation cannot rule
+// out *higher-weight* translation-invariant relations (e.g. output a XOR
+// output b at equal cycles equalling output c a few cycles earlier); when
+// a test set happens to specify slots on such a relation with odd parity,
+// that cube is structurally unencodable under this particular shifter and
+// the flow retries with the next variant — mirroring real DFT practice,
+// where the phase shifter is iterated until the test set encodes. See
+// encoder.EncodeAutoCtx.
+//
+// The symbolic simulation polls ctx as Rows does; a cancelled design
+// returns an error wrapping the context error.
+func NewSeparated(ctx context.Context, l *lfsr.LFSR, outputs, windowCycles int, variant uint64) (*PhaseShifter, gf2.RowSet, error) {
 	n := l.Size()
 	if outputs < 1 {
-		return nil, fmt.Errorf("phaseshifter: need at least one output, got %d", outputs)
+		return nil, gf2.RowSet{}, fmt.Errorf("phaseshifter: need at least one output, got %d", outputs)
 	}
 	if windowCycles < 1 {
-		return nil, fmt.Errorf("phaseshifter: window of %d cycles invalid", windowCycles)
+		return nil, gf2.RowSet{}, fmt.Errorf("phaseshifter: window of %d cycles invalid", windowCycles)
 	}
 	src := prng.New(uint64(n)<<32 ^ uint64(outputs)<<16 ^ uint64(windowCycles) ^ 0x51ab ^ variant*0x9e3779b97f4a7c15)
-	taps := make([][]int, outputs)
-	for o := range taps {
-		taps[o] = randomTaps(src, n)
+	p := &PhaseShifter{n: n, taps: make([][]int, outputs)}
+	for o := range p.taps {
+		p.taps[o] = randomTaps(src, n)
 	}
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
-		colliding := findCollision(l, taps, windowCycles)
-		if colliding < 0 {
-			return New(n, taps)
+		rows, err := p.Rows(ctx, l, windowCycles)
+		if err != nil {
+			return nil, gf2.RowSet{}, err
 		}
-		taps[colliding] = randomTaps(src, n)
+		colliding := firstCollision(rows, outputs)
+		if colliding < 0 {
+			return p, rows, nil
+		}
+		p.taps[colliding] = randomTaps(src, n)
 	}
-	return nil, fmt.Errorf("phaseshifter: could not separate %d outputs over %d cycles for n=%d (state space too small)", outputs, windowCycles, n)
+	return nil, gf2.RowSet{}, fmt.Errorf("phaseshifter: could not separate %d outputs over %d cycles for n=%d (state space too small)", outputs, windowCycles, n)
 }
 
 // randomTaps draws three distinct cells (fewer if n < 3).
@@ -128,33 +138,29 @@ func randomTaps(src *prng.Source, n int) []int {
 	return out
 }
 
-// findCollision symbolically simulates windowCycles clocks and returns the
-// index of an output whose expression at some cycle duplicates another
-// output's expression at any cycle, or -1 if all expressions are distinct.
-func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int) int {
-	n := l.Size()
-	type slot struct {
-		out  int
-		expr gf2.Vec
+// firstCollision walks the rows of an m-output row set in row order and
+// returns the output of the first row whose expression equals an earlier
+// row of a different output, or -1 if no two outputs share an expression.
+// Rows are hashed in place into an open-addressed index of row numbers
+// (at most half full), so the check copies no expression.
+func firstCollision(rows gf2.RowSet, m int) int {
+	count := rows.Count()
+	size := 1
+	for size < 2*count {
+		size <<= 1
 	}
-	seen := make(map[uint64][]slot, windowCycles*len(taps))
-	sym := lfsr.NewSymbolic(l)
-	scratch := gf2.NewVec(n)
-	for cyc := 0; cyc < windowCycles; cyc++ {
-		for o, ts := range taps {
-			scratch.Zero()
-			for _, c := range ts {
-				scratch.Xor(sym.Expr(c))
+	mask := uint64(size - 1)
+	slots := make([]int32, size) // row number + 1; 0 marks an empty slot
+	for i := 0; i < count; i++ {
+		r := rows.Row(i)
+		s := hashWords(r.Words()) & mask
+		for ; slots[s] != 0; s = (s + 1) & mask {
+			j := int(slots[s]) - 1
+			if j%m != i%m && rows.Row(j).Equal(r) {
+				return i % m
 			}
-			h := hashWords(scratch.Words())
-			for _, s := range seen[h] {
-				if s.out != o && s.expr.Equal(scratch) {
-					return o
-				}
-			}
-			seen[h] = append(seen[h], slot{out: o, expr: scratch.Clone()})
 		}
-		sym.Step()
+		slots[s] = int32(i + 1)
 	}
 	return -1
 }
@@ -169,6 +175,43 @@ func hashWords(ws []uint64) uint64 {
 		}
 	}
 	return h
+}
+
+// rowPoll is how many symbolic cycles Rows materialises between context
+// polls. A cycle is m·words XOR words plus one symbolic step, so 16 cycles
+// keeps the poll below measurement noise while bounding cancellation
+// latency to microseconds even on the largest cores.
+const rowPoll = 16
+
+// Rows symbolically simulates l from an all-symbolic seed for cycles
+// clocks and returns the expression of every phase-shifter output over the
+// n seed variables, cycle-major: row t·m+o is output o at cycle t. This is
+// the only place the repository turns symbolic LFSR state into output
+// expressions; the encoder's tables and the separation check both read
+// its rows. The loop polls ctx every rowPoll cycles, and a cancelled
+// simulation returns an error wrapping the context error.
+func (p *PhaseShifter) Rows(ctx context.Context, l *lfsr.LFSR, cycles int) (gf2.RowSet, error) {
+	if l.Size() != p.n {
+		return gf2.RowSet{}, fmt.Errorf("phaseshifter: LFSR size %d != phase shifter size %d", l.Size(), p.n)
+	}
+	m := len(p.taps)
+	words := (p.n + 63) / 64
+	arena := make([]uint64, cycles*m*words)
+	sym := lfsr.NewSymbolic(l)
+	for cyc := 0; cyc < cycles; cyc++ {
+		if cyc%rowPoll == rowPoll-1 && ctx.Err() != nil {
+			return gf2.RowSet{}, fmt.Errorf("phaseshifter: symbolic simulation stopped at cycle %d/%d: %w", cyc, cycles, ctx.Err())
+		}
+		base := cyc * m * words
+		for o, ts := range p.taps {
+			dst := gf2.VecView(p.n, arena[base+o*words:base+(o+1)*words])
+			for _, c := range ts {
+				dst.Xor(sym.Expr(c))
+			}
+		}
+		sym.Step()
+	}
+	return gf2.NewRowSet(p.n, arena), nil
 }
 
 // Outputs returns the number of outputs m.
@@ -204,15 +247,6 @@ func (p *PhaseShifter) ApplyInto(dst, state gf2.Vec) {
 			b ^= state.Bit(c)
 		}
 		dst.SetBit(o, b)
-	}
-}
-
-// ExprInto writes the symbolic expression of output o — the XOR of the cell
-// expressions — into dst (an n-bit scratch vector).
-func (p *PhaseShifter) ExprInto(dst gf2.Vec, sym *lfsr.Symbolic, o int) {
-	dst.Zero()
-	for _, c := range p.taps[o] {
-		dst.Xor(sym.Expr(c))
 	}
 }
 

@@ -1,6 +1,8 @@
 package phaseshifter
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gf2"
@@ -74,39 +76,65 @@ func TestApplyMatchesTaps(t *testing.T) {
 // TestSeparationNoDuplicateExpressions is the core guarantee: within the
 // verified window, no two outputs ever produce the same linear expression
 // of the seed, so no test cube can be structurally unencodable due to a
-// two-slot conflict.
+// two-slot conflict. The rows NewSeparated returns must also be the ones
+// Rows computes for the finished shifter.
 func TestSeparationNoDuplicateExpressions(t *testing.T) {
 	l := std(t, 20)
 	window := 200
-	ps, err := NewSeparated(l, 6, window)
+	ps, rows, err := NewSeparated(context.Background(), l, 6, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym := lfsr.NewSymbolic(l)
+	again, err := ps.Rows(context.Background(), l, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Count() != window*ps.Outputs() || again.Count() != rows.Count() {
+		t.Fatalf("row counts %d and %d, want %d", rows.Count(), again.Count(), window*ps.Outputs())
+	}
 	seen := make(map[string][2]int)
-	scratch := gf2.NewVec(20)
-	for cyc := 0; cyc < window; cyc++ {
-		for o := 0; o < ps.Outputs(); o++ {
-			ps.ExprInto(scratch, sym, o)
-			key := scratch.String()
-			if prev, dup := seen[key]; dup && prev[0] != o {
-				t.Fatalf("outputs %d and %d collide (cycles %d and %d)", prev[0], o, prev[1], cyc)
-			}
-			if _, dup := seen[key]; !dup {
-				seen[key] = [2]int{o, cyc}
-			}
+	for i := 0; i < rows.Count(); i++ {
+		cyc, o := i/ps.Outputs(), i%ps.Outputs()
+		if !rows.Row(i).Equal(again.Row(i)) {
+			t.Fatalf("row %d differs between NewSeparated and Rows", i)
 		}
-		sym.Step()
+		key := rows.Row(i).String()
+		if prev, dup := seen[key]; dup && prev[0] != o {
+			t.Fatalf("outputs %d and %d collide (cycles %d and %d)", prev[0], o, prev[1], cyc)
+		}
+		if _, dup := seen[key]; !dup {
+			seen[key] = [2]int{o, cyc}
+		}
+	}
+}
+
+// TestRowsCancelled stops the symbolic simulation with a fired context.
+func TestRowsCancelled(t *testing.T) {
+	l := std(t, 20)
+	ps, err := New(20, [][]int{{0, 5, 11}, {1, 7, 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ps.Rows(ctx, l, 100); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Rows(cancelled) err = %v, want context.Canceled", err)
+	}
+	if _, _, err := NewSeparated(ctx, l, 2, 100, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewSeparated(cancelled) err = %v, want context.Canceled", err)
+	}
+	if _, err := ps.Rows(context.Background(), std(t, 16), 10); err == nil {
+		t.Error("LFSR of the wrong size accepted")
 	}
 }
 
 func TestSeparatedDeterministicAndVariants(t *testing.T) {
 	l := std(t, 24)
-	a, err := NewSeparated(l, 8, 300)
+	a, _, err := NewSeparated(context.Background(), l, 8, 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSeparated(l, 8, 300)
+	b, _, err := NewSeparated(context.Background(), l, 8, 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +149,7 @@ func TestSeparatedDeterministicAndVariants(t *testing.T) {
 			}
 		}
 	}
-	v1, err := NewSeparatedVariant(l, 8, 300, 1)
+	v1, _, err := NewSeparated(context.Background(), l, 8, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +172,17 @@ func TestSeparatedImpossibleFails(t *testing.T) {
 	// 2^8-1 = 255 states cannot hold 8 channels × 64 cycles = 512 distinct
 	// phases.
 	l := std(t, 8)
-	if _, err := NewSeparated(l, 8, 64); err == nil {
+	if _, _, err := NewSeparated(context.Background(), l, 8, 64, 0); err == nil {
 		t.Error("impossible separation accepted")
 	}
 }
 
 func TestSeparatedRejectsBadArgs(t *testing.T) {
 	l := std(t, 16)
-	if _, err := NewSeparated(l, 0, 10); err == nil {
+	if _, _, err := NewSeparated(context.Background(), l, 0, 10, 0); err == nil {
 		t.Error("0 outputs accepted")
 	}
-	if _, err := NewSeparated(l, 4, 0); err == nil {
+	if _, _, err := NewSeparated(context.Background(), l, 4, 0, 0); err == nil {
 		t.Error("0 window accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package stateskip
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -17,7 +18,7 @@ func encodeProfile(t testing.TB, name string, numCubes, L int) *encoder.Encoding
 		p.NumCubes = numCubes
 	}
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

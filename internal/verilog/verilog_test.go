@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,7 +83,7 @@ func lineWith(src, prefix string) string {
 
 func TestPhaseShifterEmission(t *testing.T) {
 	l, _ := lfsr.NewStandard(lfsr.Fibonacci, 16)
-	ps, err := phaseshifter.NewSeparated(l, 4, 64)
+	ps, _, err := phaseshifter.NewSeparated(context.Background(), l, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestModeSelectEmission(t *testing.T) {
 	}
 	p.NumCubes = 40
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, 16, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, 16, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestDecompressorTopEmission(t *testing.T) {
 	}
 	p.NumCubes = 30
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, 8, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, 8, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

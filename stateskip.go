@@ -46,9 +46,6 @@ type (
 	// EncoderTables are the shared symbolic tables of one decompressor,
 	// reusable across encodings via EncoderConfig.Tables.
 	EncoderTables = encoder.Tables
-	// EncoderTablesCache memoizes EncoderTables per decompressor
-	// configuration for EncodeAutoCached.
-	EncoderTablesCache = encoder.TablesCache
 	// Encoding is a computed set of seeds.
 	Encoding = encoder.Encoding
 	// Reduction is the outcome of State Skip useful-segment selection.
@@ -67,28 +64,13 @@ func ParseCube(s string) (Cube, error) { return cube.Parse(s) }
 // polynomial table (Fibonacci form).
 func NewLFSR(size int) (*LFSR, error) { return lfsr.NewStandard(lfsr.Fibonacci, size) }
 
-// Encode compresses a cube set with an explicit decompressor configuration.
-func Encode(cfg EncoderConfig, set *CubeSet) (*Encoding, error) { return encoder.Encode(cfg, set) }
-
 // EncodeAuto compresses a cube set with the standard decompressor (LFSR
 // size n, the given scan-chain count, window length L), retrying
 // phase-shifter design variants when the test set is structurally
-// unencodable under one (see phaseshifter.NewSeparatedVariant). It returns
-// the encoding and the variant used.
+// unencodable under one (see phaseshifter.NewSeparated). It returns the
+// encoding and the variant used.
 func EncodeAuto(n, width, chains, L int, set *CubeSet) (*Encoding, uint64, error) {
-	return encoder.EncodeAuto(n, width, chains, L, set)
-}
-
-// NewEncoderTablesCache returns an empty shared-tables cache for
-// EncodeAutoCached.
-func NewEncoderTablesCache() *EncoderTablesCache { return encoder.NewTablesCache() }
-
-// EncodeAutoCached is EncodeAuto backed by a shared-tables cache: repeated
-// encodes of the same decompressor configuration serve the symbolic tables
-// of every variant they re-try from the cache instead of rebuilding them.
-// The encodings are identical to EncodeAuto's.
-func EncodeAutoCached(n, width, chains, L int, set *CubeSet, cache *EncoderTablesCache) (*Encoding, uint64, error) {
-	return encoder.EncodeAutoCtx(context.Background(), n, width, chains, L, set, 0, cache)
+	return encoder.EncodeAutoCtx(context.Background(), n, width, chains, L, set, 0, nil)
 }
 
 // ReduceOptions returns the standard State Skip options for segment size S
