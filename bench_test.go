@@ -56,7 +56,7 @@ func BenchmarkTable1(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table1()
+		rows, err := s.Table1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkTable2(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table2()
+		rows, err := s.Table2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkFig4(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		bars, curves, err := s.Fig4()
+		bars, curves, err := s.Fig4(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkTable3(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table3()
+		rows, err := s.Table3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkTable4(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table4()
+		rows, err := s.Table4(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func BenchmarkHWDecompressor(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rep, err := s.HWOverhead()
+		rep, err := s.HWOverhead(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func BenchmarkHWSoC(b *testing.B) {
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rep, err := s.SoC()
+		rep, err := s.SoC(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,11 +342,11 @@ func BenchmarkAblationSelection(b *testing.B) {
 	S, k := s.Params.Fig4CurveS, 12
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		enc, err := s.Encoding(circuit, L)
+		enc, err := s.Encoding(context.Background(), circuit, L)
 		if err != nil {
 			b.Fatal(err)
 		}
-		smart, err := s.Reduce(circuit, L, S, k)
+		smart, err := s.Reduce(context.Background(), circuit, L, S, k)
 		if err != nil {
 			b.Fatal(err)
 		}

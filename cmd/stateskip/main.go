@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string) error {
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "table1", "table2", "table3", "table4", "fig4", "hw", "soc", "all":
-		return runExperiments(ctx, scale, *workersFlag, *laneFlag, cmd)
+		return runExperiments(ctx, scale, *workersFlag, cmd)
 	case "gen":
 		return runGen(scale, rest)
 	case "encode":
@@ -125,7 +125,7 @@ func run(ctx context.Context, args []string) error {
 	case "atpg":
 		return runATPG(ctx, scale, *workersFlag, *laneFlag, rest)
 	case "verilog":
-		return runVerilog(rest)
+		return runVerilog(ctx, rest)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
@@ -150,11 +150,11 @@ func scaleFromEnv() string {
 	return "ci"
 }
 
-func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, laneWords int, which string) error {
+// runExperiments renders the requested tables and figures; ^C cancels ctx
+// and aborts the drivers mid-sweep (see main).
+func runExperiments(ctx context.Context, scale benchprofile.Scale, workers int, which string) error {
 	s := experiments.NewSession(scale)
 	s.Workers = workers
-	s.LaneWords = laneWords
-	s.Ctx = ctx // ^C aborts the drivers mid-sweep (see main)
 	start := time.Now()
 	do := func(name string, f func() error) error {
 		if which != "all" && which != name {
@@ -168,7 +168,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return nil
 	}
 	if err := do("table1", func() error {
-		rows, err := s.Table1()
+		rows, err := s.Table1(ctx)
 		if err != nil {
 			return err
 		}
@@ -178,7 +178,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table2", func() error {
-		rows, err := s.Table2()
+		rows, err := s.Table2(ctx)
 		if err != nil {
 			return err
 		}
@@ -188,7 +188,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("fig4", func() error {
-		bars, curves, err := s.Fig4()
+		bars, curves, err := s.Fig4(ctx)
 		if err != nil {
 			return err
 		}
@@ -198,7 +198,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table3", func() error {
-		rows, err := s.Table3()
+		rows, err := s.Table3(ctx)
 		if err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table4", func() error {
-		rows, err := s.Table4()
+		rows, err := s.Table4(ctx)
 		if err != nil {
 			return err
 		}
@@ -218,7 +218,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("hw", func() error {
-		rep, err := s.HWOverhead()
+		rep, err := s.HWOverhead(ctx)
 		if err != nil {
 			return err
 		}
@@ -228,7 +228,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("soc", func() error {
-		rep, err := s.SoC()
+		rep, err := s.SoC(ctx)
 		if err != nil {
 			return err
 		}
@@ -363,7 +363,6 @@ func runATPG(ctx context.Context, scale benchprofile.Scale, workers, laneWords i
 		st.Inputs, st.Outputs, st.Gates, st.Levels)
 	s := experiments.NewSession(scale)
 	s.Workers = workers
-	s.LaneWords = laneWords
 	writeCubes := func(cs *cube.Set) error {
 		w := os.Stdout
 		if *out != "" {
@@ -376,8 +375,9 @@ func runATPG(ctx context.Context, scale benchprofile.Scale, workers, laneWords i
 		}
 		return cs.Write(w)
 	}
-	u, res, err := s.ATPGOptsCtx(ctx, core, atpg.Options{
+	u, res, err := s.ATPG(ctx, core, atpg.Options{
 		FaultDrop: true, FillSeed: *seed, BacktrackLimit: *backtrack, Backtrace: strategy,
+		LaneWords: laneWords,
 	})
 	if err != nil {
 		if res != nil { // interrupted mid-run: report + keep the partial progress
@@ -394,7 +394,7 @@ func runATPG(ctx context.Context, scale benchprofile.Scale, workers, laneWords i
 	return writeCubes(res.Cubes)
 }
 
-func runVerilog(args []string) error {
+func runVerilog(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("verilog", flag.ContinueOnError)
 	n := fs.Int("n", 24, "LFSR size")
 	k := fs.Int("k", 10, "State Skip speedup factor")
@@ -419,7 +419,7 @@ func runVerilog(args []string) error {
 			sep = 8
 		}
 	}
-	ps, _, err := phaseshifter.NewSeparated(context.Background(), l, *chains, sep, 0)
+	ps, _, err := phaseshifter.NewSeparated(ctx, l, *chains, sep, 0)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,10 @@ import (
 // pipeline and the coverage jobs program against; internal/encoder,
 // internal/phaseshifter and internal/lru since the encoder's tables, the
 // phase shifter's row sweep and the singleflight memo are the seed-encoding
-// path's shared contract.
+// path's shared contract; internal/experiments since its Session and row
+// types are what the CLI, the daemon and the bench harness program against.
 var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim",
-	"internal/encoder", "internal/phaseshifter", "internal/lru"}
+	"internal/encoder", "internal/phaseshifter", "internal/lru", "internal/experiments"}
 
 func TestExportedIdentifiersDocumented(t *testing.T) {
 	for _, dir := range docCheckedPackages {

@@ -36,8 +36,8 @@ func main() {
 		p.Name, p.LFSRSize, p.Chains, L, S, k)
 	fmt.Fprintf(w, "// %d seeds, TSL %d -> %d vectors (%.0f%% shorter)\n\n",
 		len(enc.Seeds), enc.TSL(), red.TSL(), red.Improvement()*100)
-	fmt.Fprintln(w, verilog.StateSkipLFSR(enc.Cfg.LFSR, k))
-	fmt.Fprintln(w, verilog.PhaseShifter(enc.Cfg.PS))
+	fmt.Fprintln(w, verilog.StateSkipLFSR(enc.Cfg.Tables.LFSR(), k))
+	fmt.Fprintln(w, verilog.PhaseShifter(enc.Cfg.Tables.PS()))
 	fmt.Fprintln(w, verilog.ModeSelect(red, p.Name))
 	fmt.Fprintln(w, verilog.DecompressorTop(red, p.Name))
 }

@@ -72,8 +72,7 @@ type Result struct {
 func (s *Schedule) Run() (*Result, error) {
 	red := s.Red
 	enc := red.Enc
-	geo := enc.Cfg.Geo
-	l, ps := enc.Cfg.LFSR, enc.Cfg.PS
+	geo, l, ps := enc.Cfg.Tables.Geo(), enc.Cfg.Tables.LFSR(), enc.Cfg.Tables.PS()
 	k := red.Opt.Speedup
 	skip := l.SkipMatrix(uint64(k))
 	res := &Result{}
@@ -194,8 +193,8 @@ func (c CostBreakdown) TotalGE() float64 { return c.SharedGE() + c.ModeSelect }
 func (s *Schedule) Cost() CostBreakdown {
 	red := s.Red
 	enc := red.Enc
-	n := enc.Cfg.LFSR.Size()
-	geo := enc.Cfg.Geo
+	n := enc.Cfg.Tables.LFSR().Size()
+	geo := enc.Cfg.Tables.Geo()
 
 	var c CostBreakdown
 	// LFSR: n flip-flops plus a 2:1 mux in front of every cell selecting
@@ -203,8 +202,8 @@ func (s *Schedule) Cost() CostBreakdown {
 	c.LFSR = hwcost.Register(n) + hwcost.Mux2(n)
 	// Feedback network of the characteristic polynomial plus the skip
 	// matrix network, both with CSE.
-	c.SkipCircuit = hwcost.CostLinear(enc.Cfg.LFSR.SkipMatrix(uint64(red.Opt.Speedup))).GE()
-	c.PhaseShifter = float64(enc.Cfg.PS.XORGateCount()) * hwcost.GEXor2
+	c.SkipCircuit = hwcost.CostLinear(enc.Cfg.Tables.LFSR().SkipMatrix(uint64(red.Opt.Speedup))).GE()
+	c.PhaseShifter = float64(enc.Cfg.Tables.PS().XORGateCount()) * hwcost.GEXor2
 
 	// Counters: Bit (r), Vector (S), Segment (L/S), Useful Segment (max
 	// useful), Seed (max group population), Group (group count).

@@ -49,7 +49,7 @@ func standardTables(ctx context.Context, n, width, chains, L int, variant uint64
 
 // standardConfig is the canonical Config around standard tables.
 func standardConfig(t *Tables) Config {
-	return Config{LFSR: t.l, PS: t.ps, Geo: t.geo, WindowLen: t.winLen, FillSeed: standardFillSeed, Tables: t}
+	return Config{Tables: t, FillSeed: standardFillSeed}
 }
 
 // EncodeAutoCtx encodes the set with the standard decompressor, retrying

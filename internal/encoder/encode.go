@@ -11,23 +11,18 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/gf2"
-	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/prng"
-	"repro/internal/scan"
 )
 
 // Config describes one encoding run.
 type Config struct {
-	// LFSR is the decompressor's register; seeds are n = LFSR.Size() bits.
-	LFSR *lfsr.LFSR
-	// PS is the phase shifter between the LFSR cells and the scan chains.
-	PS *phaseshifter.PhaseShifter
-	// Geo is the scan-chain geometry the window vectors are shifted into.
-	Geo scan.Geometry
-	// WindowLen is L, the number of vectors each seed expands into.
-	// L = 1 is classical reseeding.
-	WindowLen int
+	// Tables is the decompressor (LFSR, phase shifter, scan geometry) at
+	// window length L together with its symbolic expression table; seeds
+	// are n = Tables.LFSR().Size() bits and each expands into
+	// Tables.WindowLen() vectors (L = 1 is classical reseeding). Build it
+	// with NewTables, StandardConfig or a TablesCache; it may be shared by
+	// any number of concurrent encodings.
+	Tables *Tables
 	// FillSeed keys the deterministic PRNG that fills free seed variables.
 	FillSeed uint64
 	// Workers bounds the candidate-scan parallelism; 0 means GOMAXPROCS.
@@ -35,10 +30,6 @@ type Config struct {
 	// NoPruning disables monotone feasibility pruning (ablation hook; the
 	// result is identical, only slower).
 	NoPruning bool
-	// Tables optionally supplies prebuilt shared symbolic tables. They must
-	// wrap this Config's exact LFSR, PS and Geo values and WindowLen. Nil
-	// builds private tables.
-	Tables *Tables
 }
 
 // Assignment records where one cube was deterministically embedded.
@@ -67,55 +58,46 @@ type Encoding struct {
 	// ChecksPerformed counts linear-system consistency checks, a measure of
 	// encoder effort used by the pruning ablation.
 	ChecksPerformed int64
-	// TableBuildTime is the wall time EncodeCtx spent building private
-	// symbolic tables (Config.Tables nil) and the cube set's equation
-	// index. Tables supplied through Config.Tables — every EncodeAutoCtx
-	// encoding, whose tables come from a TablesCache — are built outside
-	// EncodeCtx and not counted.
+	// TableBuildTime is the wall time EncodeCtx spent building the cube
+	// set's equation index (see Tables.Systems). The symbolic tables in
+	// Config.Tables are built before EncodeCtx runs and are not counted.
 	TableBuildTime time.Duration
 }
 
 // TDV returns the test data volume in bits: seeds × n.
-func (e *Encoding) TDV() int { return len(e.Seeds) * e.Cfg.LFSR.Size() }
+func (e *Encoding) TDV() int { return len(e.Seeds) * e.Cfg.Tables.l.Size() }
 
 // TSL returns the test sequence length, in vectors, of the original
 // window-based scheme: every seed expands into a full window.
-func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
+func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.Tables.winLen }
 
-// EncodeCtx compresses the cube set into LFSR seeds. The input set is not
-// modified. EncodeCtx fails if some cube cannot be embedded anywhere even
-// by a dedicated seed (the LFSR is too small for the test set).
+// EncodeCtx compresses the cube set into LFSR seeds with the decompressor
+// of cfg.Tables. The input set is not modified. EncodeCtx fails if some
+// cube cannot be embedded anywhere even by a dedicated seed (the LFSR is
+// too small for the test set).
 //
-// Cancellation is cooperative: a private table build polls the context
-// every few symbolic cycles, every candidate-scan worker polls it once per
-// checkStride consistency checks and the seed-construction loop polls it at
-// every tier boundary, so a cancel or deadline stops the encoder within
-// microseconds of the engines noticing. A cancelled encode returns an
-// error wrapping context.Canceled or context.DeadlineExceeded; an
-// uncancelled run is bit-identical for any Workers value.
+// Cancellation is cooperative: every candidate-scan worker polls the
+// context once per checkStride consistency checks and the
+// seed-construction loop polls it at every tier boundary, so a cancel or
+// deadline stops the encoder within microseconds of the engines noticing.
+// A cancelled encode returns an error wrapping context.Canceled or
+// context.DeadlineExceeded; an uncancelled run is bit-identical for any
+// Workers value.
 func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error) {
-	if cfg.WindowLen < 1 {
-		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", cfg.WindowLen)
+	tabs := cfg.Tables
+	if tabs == nil {
+		return nil, fmt.Errorf("encoder: Config.Tables is nil")
 	}
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("encoder: empty cube set")
 	}
-	if set.Width != cfg.Geo.Width {
-		return nil, fmt.Errorf("encoder: cube width %d != scan width %d", set.Width, cfg.Geo.Width)
+	if set.Width != tabs.geo.Width {
+		return nil, fmt.Errorf("encoder: cube width %d != scan width %d", set.Width, tabs.geo.Width)
 	}
 	t0 := time.Now()
-	tabs := cfg.Tables
-	if tabs == nil {
-		var err error
-		if tabs, err = NewTables(ctx, cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen); err != nil {
-			return nil, err
-		}
-	} else if tabs.l != cfg.LFSR || tabs.ps != cfg.PS || tabs.geo != cfg.Geo || tabs.winLen != cfg.WindowLen {
-		return nil, fmt.Errorf("encoder: Config.Tables built for a different decompressor or window length")
-	}
 	sys := tabs.Systems(set)
 	built := time.Since(t0)
-	enc, err := encodeWithTable(ctx, cfg, set, tabs, sys)
+	enc, err := encodeWithTable(ctx, cfg, set, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -193,15 +175,16 @@ type encodeState struct {
 	stop atomic.Bool
 }
 
-func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Tables, sys *systemIndex) (*Encoding, error) {
+func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, sys *systemIndex) (*Encoding, error) {
+	table := cfg.Tables
 	st := &encodeState{
 		ctx:     ctx,
 		cfg:     cfg,
 		set:     set,
 		table:   table,
 		sys:     sys,
-		n:       cfg.LFSR.Size(),
-		L:       cfg.WindowLen,
+		n:       table.l.Size(),
+		L:       table.winLen,
 		stride:  int32(table.Stride()),
 		workers: cfg.Workers,
 	}

@@ -34,13 +34,13 @@ func smallConfig(t testing.TB, n, width, chains, L int) Config {
 // rows, and NewTables' own simulation of the same decompressor and of a
 // hand-built Galois one.
 func TestTableMatchesGeneration(t *testing.T) {
-	cfg := smallConfig(t, 16, 50, 4, 6)
-	rebuilt, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	std := smallConfig(t, 16, 50, 4, 6).Tables
+	rebuilt, err := NewTables(context.Background(), std.LFSR(), std.PS(), std.Geo(), std.WindowLen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []*Tables{cfg.Tables, rebuilt} {
-		checkTableMatchesGeneration(t, cfg, table)
+	for _, table := range []*Tables{std, rebuilt} {
+		checkTableMatchesGeneration(t, table)
 	}
 
 	// A hand-built Galois decompressor: the register forms step their
@@ -61,26 +61,28 @@ func TestTableMatchesGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg := Config{LFSR: galois, PS: ps, Geo: geo, WindowLen: 7}
 	gtab, err := NewTables(context.Background(), galois, ps, geo, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTableMatchesGeneration(t, gcfg, gtab)
+	checkTableMatchesGeneration(t, gtab)
 }
 
-func checkTableMatchesGeneration(t *testing.T, cfg Config, table *Tables) {
+// checkTableMatchesGeneration compares every expression of table with the
+// concrete window of its own decompressor for random seeds.
+func checkTableMatchesGeneration(t *testing.T, table *Tables) {
 	t.Helper()
 	src := prng.New(99)
-	n := cfg.LFSR.Size()
+	n := table.LFSR().Size()
+	L, width := table.WindowLen(), table.Geo().Width
 	for trial := 0; trial < 10; trial++ {
 		seed := gf2.NewVec(n)
 		for i := 0; i < n; i++ {
 			seed.SetBit(i, src.Bit())
 		}
-		window := GenerateWindow(cfg.LFSR, cfg.PS, cfg.Geo, seed, cfg.WindowLen)
-		for v := 0; v < cfg.WindowLen; v++ {
-			for pos := 0; pos < cfg.Geo.Width; pos++ {
+		window := GenerateWindow(table.LFSR(), table.PS(), table.Geo(), seed, L)
+		for v := 0; v < L; v++ {
+			for pos := 0; pos < width; pos++ {
 				want := window[v].Bit(pos)
 				got := table.Expr(v, pos).Dot(seed)
 				if got != want {
@@ -276,19 +278,20 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestEncodeSharedTablesIdentical runs the same encoding with private
-// tables, with explicitly shared tables, and through the TablesCache path;
-// all three must agree bit for bit, and the shared runs must report ~zero
-// table-build time on reuse.
+// TestEncodeSharedTablesIdentical runs the same encoding with the standard
+// tables (built from the phase shifter's separation rows), with private
+// tables that NewTables simulates afresh for the same decompressor, and
+// through the TablesCache path; all must agree bit for bit, and a re-encode
+// over the same tables must report ~zero table-build time.
 func TestEncodeSharedTablesIdentical(t *testing.T) {
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	cfg.Tables = nil
 	want, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	std := cfg.Tables
+	tabs, err := NewTables(context.Background(), std.LFSR(), std.PS(), std.Geo(), std.WindowLen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +300,14 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEncodingsIdentical(t, "shared tables", want, first)
+	assertEncodingsIdentical(t, "private tables", want, first)
 	again, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEncodingsIdentical(t, "shared tables reuse", want, again)
-	// The reuse path does no symbolic simulation; a generous absolute cap
-	// keeps the assertion meaningful without racing the scheduler.
+	assertEncodingsIdentical(t, "private tables reuse", want, again)
+	// The reuse path hits the cached equation index; a generous absolute
+	// cap keeps the assertion meaningful without racing the scheduler.
 	if again.TableBuildTime > 100*time.Millisecond {
 		t.Errorf("reused tables reported %v build time", again.TableBuildTime)
 	}
@@ -322,27 +325,6 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 		t.Fatalf("cached variant %d != uncached %d", va, vb)
 	}
 	assertEncodingsIdentical(t, "cache vs fresh", b, a)
-}
-
-// TestEncodeRejectsForeignTables guards the Config.Tables validation: a
-// Tables built for one decompressor, or for another window length, must
-// not silently encode.
-func TestEncodeRejectsForeignTables(t *testing.T) {
-	set := genSet(t, "s9234", 10)
-	cfg := smallConfig(t, 24, set.Width, 8, 4)
-	other := smallConfig(t, 24, set.Width, 8, 4)
-	cfg.Tables = other.Tables
-	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
-		t.Error("foreign tables accepted")
-	}
-	longer, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Tables = longer
-	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
-		t.Error("tables of another window length accepted")
-	}
 }
 
 func TestPruningAblationIdentical(t *testing.T) {
@@ -374,12 +356,10 @@ func TestPruningAblationIdentical(t *testing.T) {
 
 func TestEncodeRejectsBadInput(t *testing.T) {
 	set := genSet(t, "s9234", 10)
-	cfg := smallConfig(t, 24, set.Width, 8, 4)
-	cfg.WindowLen = 0
-	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
-		t.Error("L=0 accepted")
+	if _, err := EncodeCtx(context.Background(), Config{}, set); err == nil {
+		t.Error("nil Tables accepted")
 	}
-	cfg = smallConfig(t, 24, set.Width+10, 8, 4)
+	cfg := smallConfig(t, 24, set.Width+10, 8, 4)
 	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("width mismatch accepted")
 	}

@@ -82,6 +82,18 @@ func NewTables(ctx context.Context, l *lfsr.LFSR, ps *phaseshifter.PhaseShifter,
 	return &Tables{l: l, ps: ps, geo: geo, winLen: L, rows: rows}, nil
 }
 
+// LFSR returns the decompressor's register; seeds are LFSR().Size() bits.
+func (t *Tables) LFSR() *lfsr.LFSR { return t.l }
+
+// PS returns the phase shifter between the LFSR cells and the scan chains.
+func (t *Tables) PS() *phaseshifter.PhaseShifter { return t.ps }
+
+// Geo returns the scan-chain geometry the window vectors are shifted into.
+func (t *Tables) Geo() scan.Geometry { return t.geo }
+
+// WindowLen returns L, the number of vectors each seed expands into.
+func (t *Tables) WindowLen() int { return t.winLen }
+
 // Rows exposes the expression arena as an indexed row set; row t·m+ch is
 // the expression of chain ch at absolute cycle t.
 func (t *Tables) Rows() gf2.RowSet { return t.rows }

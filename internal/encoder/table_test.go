@@ -24,7 +24,7 @@ func TestDependenciesPositionInvariant(t *testing.T) {
 		slots := make([]int, 0, nSlots)
 		seen := map[int]bool{}
 		for len(slots) < nSlots {
-			p := src.Intn(cfg.Geo.Width)
+			p := src.Intn(cfg.Tables.Geo().Width)
 			if !seen[p] {
 				seen[p] = true
 				slots = append(slots, p)
@@ -39,7 +39,7 @@ func TestDependenciesPositionInvariant(t *testing.T) {
 			return acc
 		}
 		zeroAt0 := comb(0).IsZero()
-		for v := 1; v < cfg.WindowLen; v++ {
+		for v := 1; v < cfg.Tables.WindowLen(); v++ {
 			if comb(v).IsZero() != zeroAt0 {
 				t.Fatalf("trial %d: dependency over slots %v differs between position 0 and %d", trial, slots, v)
 			}
@@ -50,18 +50,18 @@ func TestDependenciesPositionInvariant(t *testing.T) {
 // TestBuildExprTableValidation checks NewTables' wiring validation.
 func TestBuildExprTableValidation(t *testing.T) {
 	cfg := smallConfig(t, 16, 50, 4, 4)
-	if _, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, cfg.Geo, 0); err == nil {
+	if _, err := NewTables(context.Background(), cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), 0); err == nil {
 		t.Error("L=0 accepted")
 	}
 	// Phase shifter with the wrong output count.
-	geo2 := cfg.Geo
+	geo2 := cfg.Tables.Geo()
 	geo2.Chains = 5
-	if _, err := NewTables(context.Background(), cfg.LFSR, cfg.PS, geo2, 4); err == nil {
+	if _, err := NewTables(context.Background(), cfg.Tables.LFSR(), cfg.Tables.PS(), geo2, 4); err == nil {
 		t.Error("chain-count mismatch accepted")
 	}
 	// Phase shifter for another register size.
 	other := smallConfig(t, 20, 50, 4, 4)
-	if _, err := NewTables(context.Background(), other.LFSR, cfg.PS, cfg.Geo, 4); err == nil {
+	if _, err := NewTables(context.Background(), other.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), 4); err == nil {
 		t.Error("LFSR-size mismatch accepted")
 	}
 }
@@ -70,8 +70,8 @@ func TestExprTableMemoryBounded(t *testing.T) {
 	cfg := smallConfig(t, 24, 100, 8, 10)
 	table := cfg.Tables
 	// cycles × chains × words × 8 bytes.
-	cycles := cfg.WindowLen * cfg.Geo.Length
-	want := cycles * cfg.Geo.Chains * 1 * 8
+	cycles := cfg.Tables.WindowLen() * cfg.Tables.Geo().Length
+	want := cycles * cfg.Tables.Geo().Chains * 1 * 8
 	if got := table.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
@@ -108,16 +108,16 @@ func TestGenerateWindowIntoReuse(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		seed.SetBit(i, src.Bit())
 	}
-	fresh := GenerateWindow(cfg.LFSR, cfg.PS, cfg.Geo, seed, 5)
+	fresh := GenerateWindow(cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
 	reused := make([]gf2.Vec, 5)
-	GenerateWindowInto(reused, cfg.LFSR, cfg.PS, cfg.Geo, seed, 5)
+	GenerateWindowInto(reused, cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
 	// Fill the buffers with garbage and regenerate: must equal fresh.
 	for _, v := range reused {
 		for i := 0; i < v.Len(); i++ {
 			v.SetBit(i, 1)
 		}
 	}
-	GenerateWindowInto(reused, cfg.LFSR, cfg.PS, cfg.Geo, seed, 5)
+	GenerateWindowInto(reused, cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
 	for i := range fresh {
 		if !fresh[i].Equal(reused[i]) {
 			t.Fatalf("vector %d differs after buffer reuse", i)

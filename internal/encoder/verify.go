@@ -10,9 +10,10 @@ import (
 // indexed [seed][windowPos]; it is the exact stimulus stream the CUT sees
 // when every window is generated in full in Normal mode.
 func (e *Encoding) Windows() [][]gf2.Vec {
+	t := e.Cfg.Tables
 	out := make([][]gf2.Vec, len(e.Seeds))
 	for i, s := range e.Seeds {
-		out[i] = GenerateWindow(e.Cfg.LFSR, e.Cfg.PS, e.Cfg.Geo, s.Value, e.Cfg.WindowLen)
+		out[i] = GenerateWindow(t.l, t.ps, t.geo, s.Value, t.winLen)
 	}
 	return out
 }
@@ -23,11 +24,12 @@ func (e *Encoding) Windows() [][]gf2.Vec {
 // whole encoding pipeline (symbolic table, solver, seed fill, and concrete
 // LFSR generation must all agree for it to pass).
 func (e *Encoding) Verify() error {
+	t := e.Cfg.Tables
 	assigned := make([]int, e.Set.Len())
 	for si, s := range e.Seeds {
-		window := GenerateWindow(e.Cfg.LFSR, e.Cfg.PS, e.Cfg.Geo, s.Value, e.Cfg.WindowLen)
+		window := GenerateWindow(t.l, t.ps, t.geo, s.Value, t.winLen)
 		for _, a := range s.Assignments {
-			if a.Pos < 0 || a.Pos >= e.Cfg.WindowLen {
+			if a.Pos < 0 || a.Pos >= t.winLen {
 				return fmt.Errorf("encoder: seed %d assigns cube %d to position %d outside window", si, a.Cube, a.Pos)
 			}
 			if !e.Set.Cubes[a.Cube].Matches(window[a.Pos]) {

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/benchprofile"
 	"repro/internal/litdata"
 	"repro/internal/netlist"
@@ -13,7 +15,7 @@ func ciSession() *Session { return NewSession(benchprofile.ScaleCI) }
 
 func TestTable1Trends(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table1()
+	rows, err := s.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestTable1Trends(t *testing.T) {
 
 func TestTable2Improvements(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table2()
+	rows, err := s.Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestTable2Improvements(t *testing.T) {
 
 func TestFig4Trends(t *testing.T) {
 	s := ciSession()
-	bars, curves, err := s.Fig4()
+	bars, curves, err := s.Fig4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestFig4Trends(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table3()
+	rows, err := s.Table3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table4()
+	rows, err := s.Table4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestHWOverheadAndSoC(t *testing.T) {
 	s := ciSession()
-	rep, err := s.HWOverhead()
+	rep, err := s.HWOverhead(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestHWOverheadAndSoC(t *testing.T) {
 	}
 	_ = s.HWMarkdown(rep)
 
-	soc, err := s.SoC()
+	soc, err := s.SoC(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +174,19 @@ func TestHWOverheadAndSoC(t *testing.T) {
 
 func TestSessionCaching(t *testing.T) {
 	s := ciSession()
-	a, err := s.Encoding("s9234", 8)
+	a, err := s.Encoding(context.Background(), "s9234", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Encoding("s9234", 8)
+	b, err := s.Encoding(context.Background(), "s9234", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("encoding not cached")
 	}
-	ia, _ := s.Index("s9234", 8)
-	ib, _ := s.Index("s9234", 8)
+	ia, _ := s.Index(context.Background(), "s9234", 8)
+	ib, _ := s.Index(context.Background(), "s9234", 8)
 	if ia != ib {
 		t.Error("index not cached")
 	}
@@ -197,7 +199,7 @@ func TestSessionATPGWorkersIdentical(t *testing.T) {
 	}
 	serial := ciSession()
 	serial.Workers = 1
-	_, want, err := serial.ATPG(core, 11)
+	_, want, err := serial.ATPG(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestSessionATPGWorkersIdentical(t *testing.T) {
 	}
 	par := ciSession()
 	par.Workers = 3
-	_, got, err := par.ATPG(core, 11)
+	_, got, err := par.ATPG(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +258,11 @@ func TestSessionTablesRebuiltAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := s.Tables(core)
+	t1, err := s.Tables(context.Background(), core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t2, err := s.Tables(core); err != nil || t2 != t1 {
+	if t2, err := s.Tables(context.Background(), core); err != nil || t2 != t1 {
 		t.Fatalf("unmutated core: cached tables not reused (%p vs %p, err %v)", t2, t1, err)
 	}
 	if _, err := core.AddGate("extra", netlist.And, "pi0", "pi1"); err != nil {
@@ -269,14 +271,14 @@ func TestSessionTablesRebuiltAfterMutation(t *testing.T) {
 	if err := core.MarkOutput("extra"); err != nil {
 		t.Fatal(err)
 	}
-	t3, err := s.Tables(core)
+	t3, err := s.Tables(context.Background(), core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t3 == t1 || !t3.Valid(core) {
 		t.Fatal("mutated core: stale tables served from the cache")
 	}
-	if _, _, err := s.ATPG(core, 1); err != nil {
+	if _, _, err := s.ATPG(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 1}); err != nil {
 		t.Fatalf("ATPG after mutation: %v", err)
 	}
 }

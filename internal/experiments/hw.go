@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -13,9 +14,9 @@ import (
 
 // SkipCostPoint is one k of the skip-circuit cost sweep.
 type SkipCostPoint struct {
-	K       int
-	NaiveGE float64
-	CSEGE   float64
+	K       int     // State Skip speedup factor
+	NaiveGE float64 // skip-circuit GE without subexpression sharing
+	CSEGE   float64 // skip-circuit GE with common-subexpression sharing
 }
 
 // SkipCircuitSweep reproduces the paper's §4 State-Skip-circuit overhead
@@ -40,6 +41,7 @@ func (s *Session) SkipCircuitSweep(ks []int) ([]SkipCostPoint, error) {
 
 // HWReport aggregates the §4 hardware experiments.
 type HWReport struct {
+	// SkipSweep is the skip-circuit cost versus k (see SkipCircuitSweep).
 	SkipSweep []SkipCostPoint
 	// Breakdown of one representative s13207 decompressor.
 	Breakdown decompressor.CostBreakdown
@@ -48,7 +50,7 @@ type HWReport struct {
 }
 
 // HWOverhead runs the hardware cost experiments on s13207.
-func (s *Session) HWOverhead() (*HWReport, error) {
+func (s *Session) HWOverhead(ctx context.Context) (*HWReport, error) {
 	rep := &HWReport{}
 	ks := []int{4, 8, 12, 16, 20, 24, 28, 32}
 	var err error
@@ -62,7 +64,7 @@ func (s *Session) HWOverhead() (*HWReport, error) {
 	if s.Scale != benchprofile.ScalePaper {
 		L, S, k = 16, 4, 8
 	}
-	red, err := s.Reduce("s13207", L, S, k)
+	red, err := s.Reduce(ctx, "s13207", L, S, k)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +84,7 @@ func (s *Session) HWOverhead() (*HWReport, error) {
 			if S > L {
 				continue
 			}
-			red, err := s.Reduce("s13207", L, S, k)
+			red, err := s.Reduce(ctx, "s13207", L, S, k)
 			if err != nil {
 				return nil, err
 			}
@@ -127,19 +129,19 @@ func (s *Session) HWMarkdown(rep *HWReport) string {
 
 // SoCCore is one core of the hypothetical multi-core SoC experiment.
 type SoCCore struct {
-	Circuit      string
-	ModeSelectGE float64
-	TSL          int
+	Circuit      string  // benchmark profile name
+	ModeSelectGE float64 // GE of the core's own Mode Select unit
+	TSL          int     // the core's State-Skip-shortened test sequence length
 }
 
 // SoCReport is the §4 multi-core synthesis experiment: five cores sharing
 // one State Skip decompressor, per-core Mode Select units.
 type SoCReport struct {
-	Cores       []SoCCore
-	SharedGE    float64 // one LFSR + skip circuit + PS + counters
-	TotalGE     float64
-	SoCGateEst  float64 // rough gate-count estimate of the five cores
-	AreaPercent float64
+	Cores       []SoCCore // one entry per benchmark profile, in profile order
+	SharedGE    float64   // one LFSR + skip circuit + PS + counters
+	TotalGE     float64   // SharedGE plus every core's Mode Select GE
+	SoCGateEst  float64   // rough gate-count estimate of the five cores
+	AreaPercent float64   // TotalGE as a percentage of SoCGateEst
 }
 
 // coreGateEstimates are published approximate gate counts of the ISCAS'89
@@ -154,7 +156,7 @@ var coreGateEstimates = map[string]float64{
 }
 
 // SoC runs the five-core SoC experiment (paper: L=200, S=10, k=10).
-func (s *Session) SoC() (*SoCReport, error) {
+func (s *Session) SoC(ctx context.Context) (*SoCReport, error) {
 	L, S, k := 200, 10, 10
 	if s.Scale != benchprofile.ScalePaper {
 		L, S, k = 16, 4, 8
@@ -162,7 +164,7 @@ func (s *Session) SoC() (*SoCReport, error) {
 	rep := &SoCReport{}
 	var maxShared float64
 	for _, name := range benchprofile.Names() {
-		red, err := s.Reduce(name, L, S, k)
+		red, err := s.Reduce(ctx, name, L, S, k)
 		if err != nil {
 			return nil, err
 		}

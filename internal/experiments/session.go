@@ -93,23 +93,24 @@ func ParamsFor(scale benchprofile.Scale) Params {
 // same (circuit, L) encodings. The table and figure drivers run their
 // independent cells on a worker pool (see Workers); the caches are
 // per-key memoized so concurrent drivers never compute an artefact twice.
+//
+// Every artefact getter and driver takes a context first. Its
+// cancellation aborts artefact builds and engine runs; a build cancelled
+// this way is not cached, so a later call with a live context recomputes
+// it and renders exactly what a fresh session would.
 type Session struct {
-	Scale  benchprofile.Scale
+	// Scale selects the benchmark profiles (CI or paper size) every
+	// artefact is generated at.
+	Scale benchprofile.Scale
+	// Params are the sweep parameters the drivers iterate over;
+	// NewSession sets them to ParamsFor(Scale).
 	Params Params
 
 	// Workers bounds the concurrency of the table/figure drivers and is
-	// forwarded to the encoder's candidate scan and the embedding scan, so
-	// 1 runs strictly serially. 0 or negative lets every layer use all
-	// CPUs. The rendered tables are identical for any value.
+	// forwarded to the encoder's candidate scan, the embedding scan, the
+	// reduction and ATPG, so 1 runs strictly serially. 0 or negative lets
+	// every layer use all CPUs. Results are identical for any value.
 	Workers int
-
-	// LaneWords is the session's default fault-simulator lane width for
-	// ATPG fault dropping (atpg.Options.LaneWords): 64×LaneWords patterns
-	// per drop sweep, 0 = the single-word engine. It is injected only when
-	// the caller's options leave LaneWords unset, so per-call overrides
-	// (the bench harness sweeping the lane axis) win over the session
-	// default. Results are bit-identical for any value.
-	LaneWords int
 
 	// EncTables memoizes the encoder's shared symbolic tables per
 	// decompressor configuration (LFSR size, geometry, window length and
@@ -117,14 +118,6 @@ type Session struct {
 	// the session's sweep pays for its symbolic simulation at most once —
 	// the encoding-side analogue of the ATPG Tables cache below.
 	EncTables *encoder.TablesCache
-
-	// Ctx optionally scopes the session's no-context convenience methods
-	// (Set, Encoding, Index, Tables, ATPG, parallelFor): when non-nil its
-	// cancellation aborts artefact builds and engine runs exactly as the
-	// explicit *Ctx variants do. cmd/stateskip's SIGINT handling rides
-	// this. Per-job callers (the stateskipd server) should pass explicit
-	// contexts to the *Ctx methods instead.
-	Ctx context.Context
 
 	sets *lru.Memo[string, *cube.Set]
 	encs *lru.Memo[encKey, *encoder.Encoding]
@@ -179,13 +172,14 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-// SetMaxCached bounds each of the session's memo maps to n entries with
-// least-recently-used eviction (n <= 0 = unbounded, the default). Long-
-// running multi-tenant deployments set this so a churn of distinct
-// circuits cannot grow the caches without bound. Eviction drops the memo
-// slot only — an in-flight build keeps running for its waiters; a
+// SetMaxCached bounds each of the session's memo maps, and EncTables, to
+// n entries with least-recently-used eviction (n <= 0 = unbounded, the
+// default). Long-running multi-tenant deployments set this so a churn of
+// distinct circuits cannot grow the caches without bound. Eviction drops
+// the memo slot only — an in-flight build keeps running for its waiters; a
 // re-request after eviction recomputes.
 func (s *Session) SetMaxCached(n int) {
+	s.EncTables.SetMax(n)
 	s.sets.SetMax(n)
 	s.encs.SetMax(n)
 	s.idxs.SetMax(n)
@@ -224,15 +218,6 @@ func NewSession(scale benchprofile.Scale) *Session {
 	}
 }
 
-// ctx resolves the session's ambient context for the no-context
-// convenience methods.
-func (s *Session) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
-}
-
 // workerCount resolves the session's worker budget for n independent work
 // items.
 func (s *Session) workerCount(n int) int {
@@ -250,12 +235,11 @@ func (s *Session) workerCount(n int) int {
 }
 
 // parallelFor runs fn(0..n-1) on the session's worker pool and returns the
-// lowest-index error, if any. Once an item fails, workers stop claiming new
-// indices (in-flight items finish). Callers must write results into
-// index-addressed slots so the assembled output is deterministic regardless
-// of scheduling.
-func (s *Session) parallelFor(n int, fn func(i int) error) error {
-	ctx := s.ctx()
+// lowest-index error, if any. Once an item fails or ctx fires, workers stop
+// claiming new indices (in-flight items finish). Callers must write results
+// into index-addressed slots so the assembled output is deterministic
+// regardless of scheduling.
+func (s *Session) parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 	workers := s.workerCount(n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -300,14 +284,9 @@ func (s *Session) parallelFor(n int, fn func(i int) error) error {
 // fan-out lists and SCOAP weights, built once per netlist and reused by
 // every ATPG run the session performs over it. A core mutated since the
 // tables were cached (gates or outputs added) is detected and rebuilt, so
-// mutate-then-rerun flows keep working.
-func (s *Session) Tables(core *netlist.Netlist) (*atpg.Tables, error) {
-	return s.TablesCtx(s.ctx(), core)
-}
-
-// TablesCtx is Tables with an explicit context: a cancelled leader's
-// build is not cached, and waiters whose context fires stop waiting.
-func (s *Session) TablesCtx(ctx context.Context, core *netlist.Netlist) (*atpg.Tables, error) {
+// mutate-then-rerun flows keep working. A cancelled leader's build is not
+// cached, and waiters whose context fires stop waiting.
+func (s *Session) Tables(ctx context.Context, core *netlist.Netlist) (*atpg.Tables, error) {
 	build := timed(&s.stats.tabNS, func() (*atpg.Tables, error) { return atpg.NewTables(core) })
 	t, err := s.tabs.Get(ctx, core, build)
 	if err != nil || t.Valid(core) {
@@ -317,55 +296,31 @@ func (s *Session) TablesCtx(ctx context.Context, core *netlist.Netlist) (*atpg.T
 	return s.tabs.Get(ctx, core, build)
 }
 
-// ATPG runs the full PODEM + fault-drop flow over a gate-level core with
-// the session's Workers budget forwarded into atpg.Options, so the cube
-// generation pipeline, the drop-loop simulator pool and the experiment
-// drivers all share one knob. cmd/stateskip's `atpg` subcommand goes
-// through here. Results are bit-identical for any Workers value.
-func (s *Session) ATPG(core *netlist.Netlist, fillSeed uint64) (*faultsim.Universe, *atpg.Result, error) {
-	return s.ATPGOpts(core, atpg.Options{FaultDrop: true, FillSeed: fillSeed})
-}
-
-// ATPGOpts is ATPG with caller-controlled options (backtrack limit,
-// backtrace strategy, fault dropping, fill seed). The session injects its
-// Workers budget and the cached shared Tables of the core, so repeated
-// runs over one netlist pay levelization and SCOAP once; everything else —
-// including Options.Backtrace, which cmd/stateskip's `atpg -backtrace`
-// flag rides through here — passes straight to atpg.RunAllCtx.
-func (s *Session) ATPGOpts(core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
-	return s.ATPGOptsCtx(s.ctx(), core, opt)
-}
-
-// ATPGOptsCtx is ATPGOpts with cooperative cancellation threaded into the
-// PODEM pipeline and the fault-drop simulator pool (see atpg.RunAllCtx).
-// On cancellation or deadline it returns the universe and the partial
-// Result alongside the typed context error, so callers can report
-// progress made before the stop.
-func (s *Session) ATPGOptsCtx(ctx context.Context, core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
-	t, err := s.TablesCtx(ctx, core)
+// ATPG runs the full PODEM flow over a gate-level core with
+// caller-controlled options (fault dropping, fill seed, backtrack limit,
+// backtrace strategy, lane width). The session injects its Workers budget
+// and the cached shared Tables of the core, so repeated runs over one
+// netlist pay levelization and SCOAP once; everything else passes straight
+// to atpg.RunAllCtx, which threads ctx into the PODEM pipeline and the
+// fault-drop simulator pool. On cancellation or deadline it returns the
+// universe and the partial Result alongside the typed context error, so
+// callers can report progress made before the stop. Results are
+// bit-identical for any Workers and LaneWords value.
+func (s *Session) ATPG(ctx context.Context, core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
+	t, err := s.Tables(ctx, core)
 	if err != nil {
 		return nil, nil, err
 	}
 	opt.Workers = s.Workers
-	if opt.LaneWords == 0 {
-		opt.LaneWords = s.LaneWords
-	}
 	opt.Tables = t
 	u := faultsim.NewUniverse(core)
 	res, err := atpg.RunAllCtx(ctx, u, opt)
-	if err != nil {
-		return u, res, err // res is the partial progress on a ctx error, nil otherwise
-	}
-	return u, res, nil
+	return u, res, err // res is the partial progress on a ctx error, nil otherwise
 }
 
-// Set returns the (cached) synthetic cube set of one circuit.
-func (s *Session) Set(circuit string) (*cube.Set, error) {
-	return s.SetCtx(s.ctx(), circuit)
-}
-
-// SetCtx is Set with an explicit context scoping the singleflight build.
-func (s *Session) SetCtx(ctx context.Context, circuit string) (*cube.Set, error) {
+// Set returns the (cached) synthetic cube set of one circuit; ctx scopes
+// the wait on a concurrent build.
+func (s *Session) Set(ctx context.Context, circuit string) (*cube.Set, error) {
 	return s.sets.Get(ctx, circuit, timed(&s.stats.setNS, func() (*cube.Set, error) {
 		p, err := benchprofile.ByName(circuit, s.Scale)
 		if err != nil {
@@ -376,17 +331,12 @@ func (s *Session) SetCtx(ctx context.Context, circuit string) (*cube.Set, error)
 }
 
 // Encoding returns the (cached) window encoding of one circuit at window
-// length L.
-func (s *Session) Encoding(circuit string, L int) (*encoder.Encoding, error) {
-	return s.EncodingCtx(s.ctx(), circuit, L)
-}
-
-// EncodingCtx is Encoding with cooperative cancellation threaded into the
-// encoder's candidate scan (see encoder.EncodeCtx). The leader's context
-// governs the build; a cancelled build is not cached.
-func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*encoder.Encoding, error) {
+// length L. ctx is threaded into the encoder's candidate scan (see
+// encoder.EncodeAutoCtx); the leader's context governs the build, and a
+// cancelled build is not cached.
+func (s *Session) Encoding(ctx context.Context, circuit string, L int) (*encoder.Encoding, error) {
 	return s.encs.Get(ctx, encKey{circuit, L}, timed(&s.stats.encNS, func() (*encoder.Encoding, error) {
-		set, err := s.SetCtx(ctx, circuit)
+		set, err := s.Set(ctx, circuit)
 		if err != nil {
 			return nil, err
 		}
@@ -402,16 +352,11 @@ func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*enco
 	}))
 }
 
-// Index returns the (cached) vector-level embedding index of one encoding.
-func (s *Session) Index(circuit string, L int) (*stateskip.VecEmbeddings, error) {
-	return s.IndexCtx(s.ctx(), circuit, L)
-}
-
-// IndexCtx is Index with an explicit context scoping the singleflight
-// build and the encoding it depends on.
-func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*stateskip.VecEmbeddings, error) {
+// Index returns the (cached) vector-level embedding index of one encoding;
+// ctx scopes the build and the encoding it depends on.
+func (s *Session) Index(ctx context.Context, circuit string, L int) (*stateskip.VecEmbeddings, error) {
 	return s.idxs.Get(ctx, encKey{circuit, L}, timed(&s.stats.idxNS, func() (*stateskip.VecEmbeddings, error) {
-		enc, err := s.EncodingCtx(ctx, circuit, L)
+		enc, err := s.Encoding(ctx, circuit, L)
 		if err != nil {
 			return nil, err
 		}
@@ -420,13 +365,17 @@ func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*statesk
 }
 
 // Reduce runs useful-segment selection for a cached encoding, reusing the
-// cached embedding index.
-func (s *Session) Reduce(circuit string, L, S, k int) (*stateskip.Reduction, error) {
-	enc, err := s.Encoding(circuit, L)
+// cached embedding index. It polls ctx before it starts, so every driver
+// loop over Reduce stops between cells once ctx fires.
+func (s *Session) Reduce(ctx context.Context, circuit string, L, S, k int) (*stateskip.Reduction, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	enc, err := s.Encoding(ctx, circuit, L)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.Index(circuit, L)
+	idx, err := s.Index(ctx, circuit, L)
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +386,16 @@ func (s *Session) Reduce(circuit string, L, S, k int) (*stateskip.Reduction, err
 
 // BestReduction tries every (S, k) combination and returns the reduction
 // with the shortest TSL — the "best results for the various values of S, k"
-// selection of the paper's Table 2.
-func (s *Session) BestReduction(circuit string, L int, Ss, Ks []int) (*stateskip.Reduction, error) {
+// selection of the paper's Table 2. ctx is polled between (S, k) cells
+// (see Reduce).
+func (s *Session) BestReduction(ctx context.Context, circuit string, L int, Ss, Ks []int) (*stateskip.Reduction, error) {
 	var best *stateskip.Reduction
 	for _, S := range Ss {
 		if S > L {
 			continue
 		}
 		for _, k := range Ks {
-			red, err := s.Reduce(circuit, L, S, k)
+			red, err := s.Reduce(ctx, circuit, L, S, k)
 			if err != nil {
 				return nil, err
 			}

@@ -22,7 +22,7 @@ func TestSingleflightEncodingBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = s.EncodingCtx(context.Background(), "s13207", 8)
+			_, errs[g] = s.Encoding(context.Background(), "s13207", 8)
 		}(g)
 	}
 	wg.Wait()
@@ -51,10 +51,10 @@ func TestSingleflightCanceledLeaderDoesNotPoison(t *testing.T) {
 	s := NewSession(benchprofile.ScaleCI)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.EncodingCtx(canceled, "s13207", 8); !errors.Is(err, context.Canceled) {
+	if _, err := s.Encoding(canceled, "s13207", 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled leader: err = %v, want context.Canceled", err)
 	}
-	enc, err := s.EncodingCtx(context.Background(), "s13207", 8)
+	enc, err := s.Encoding(context.Background(), "s13207", 8)
 	if err != nil {
 		t.Fatalf("post-cancel rebuild failed: %v", err)
 	}
@@ -78,13 +78,13 @@ func TestSingleflightMixedCancellation(t *testing.T) {
 		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
-			_, liveErrs[g] = s.EncodingCtx(context.Background(), "s13207", 8)
+			_, liveErrs[g] = s.Encoding(context.Background(), "s13207", 8)
 		}(g)
 		go func() {
 			defer wg.Done()
 			// Either outcome (ctx error or a value served from a finished
 			// slot) is legal for a cancelled caller.
-			s.EncodingCtx(canceled, "s13207", 8) //nolint:errcheck
+			s.Encoding(canceled, "s13207", 8) //nolint:errcheck
 		}()
 	}
 	wg.Wait()
@@ -102,7 +102,7 @@ func TestSetMaxCachedBoundsMemos(t *testing.T) {
 	s := NewSession(benchprofile.ScaleCI)
 	s.SetMaxCached(2)
 	for _, L := range []int{4, 6, 8} {
-		if _, err := s.Encoding("s13207", L); err != nil {
+		if _, err := s.Encoding(context.Background(), "s13207", L); err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
 	}
@@ -114,10 +114,82 @@ func TestSetMaxCachedBoundsMemos(t *testing.T) {
 		t.Fatalf("EncodingBuilds = %d, want 3", st.EncodingBuilds)
 	}
 	// L=4 was evicted (LRU); re-requesting it must rebuild, not fail.
-	if _, err := s.Encoding("s13207", 4); err != nil {
+	if _, err := s.Encoding(context.Background(), "s13207", 4); err != nil {
 		t.Fatalf("rebuild after eviction: %v", err)
 	}
 	if got := s.Stats().EncodingBuilds; got != 4 {
 		t.Fatalf("EncodingBuilds after re-request = %d, want 4 (rebuild)", got)
+	}
+	// The bound covers the encoder's symbolic-table cache too.
+	if n, ev := s.EncTables.Len(), s.EncTables.Evictions(); n > 2 || ev == 0 {
+		t.Fatalf("EncTables: %d cached, %d evictions; want ≤ 2 cached and evictions > 0", n, ev)
+	}
+}
+
+// TestDriversHonourCancelledContext runs every table and figure driver
+// with a context cancelled beforehand: each must fail with
+// context.Canceled. A second call on the same session with a live context
+// must then render exactly what a fresh session renders, which shows the
+// cancelled run left no poisoned memo behind.
+func TestDriversHonourCancelledContext(t *testing.T) {
+	drivers := []struct {
+		name   string
+		render func(ctx context.Context, s *Session) (string, error)
+	}{
+		{"Table1", func(ctx context.Context, s *Session) (string, error) {
+			rows, err := s.Table1(ctx)
+			return s.Table1Markdown(rows), err
+		}},
+		{"Table2", func(ctx context.Context, s *Session) (string, error) {
+			rows, err := s.Table2(ctx)
+			return s.Table2Markdown(rows), err
+		}},
+		{"Table3", func(ctx context.Context, s *Session) (string, error) {
+			rows, err := s.Table3(ctx)
+			return s.Table3Markdown(rows), err
+		}},
+		{"Table4", func(ctx context.Context, s *Session) (string, error) {
+			rows, err := s.Table4(ctx)
+			return s.Table4Markdown(rows), err
+		}},
+		{"Fig4", func(ctx context.Context, s *Session) (string, error) {
+			bars, curves, err := s.Fig4(ctx)
+			return s.Fig4Markdown(bars, curves), err
+		}},
+		{"HWOverhead", func(ctx context.Context, s *Session) (string, error) {
+			rep, err := s.HWOverhead(ctx)
+			if err != nil {
+				return "", err
+			}
+			return s.HWMarkdown(rep), nil
+		}},
+		{"SoC", func(ctx context.Context, s *Session) (string, error) {
+			rep, err := s.SoC(ctx)
+			if err != nil {
+				return "", err
+			}
+			return s.SoCMarkdown(rep), nil
+		}},
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			s := NewSession(benchprofile.ScaleCI)
+			if _, err := d.render(canceled, s); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+			}
+			got, err := d.render(context.Background(), s)
+			if err != nil {
+				t.Fatalf("live context after cancel: %v", err)
+			}
+			want, err := d.render(context.Background(), NewSession(benchprofile.ScaleCI))
+			if err != nil {
+				t.Fatalf("fresh session: %v", err)
+			}
+			if got != want {
+				t.Fatalf("rendering after a cancelled run differs from a fresh session's:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -10,23 +11,23 @@ import (
 
 // Table1Cell is one (circuit, L) measurement.
 type Table1Cell struct {
-	L     int
-	Seeds int
-	TDV   int
-	TSL   int
+	L     int // window length
+	Seeds int // seeds the encoder needed
+	TDV   int // test data volume in bits: Seeds × n
+	TSL   int // full-window test sequence length in vectors: Seeds × L
 }
 
 // Table1Row is one circuit's row of Table 1.
 type Table1Row struct {
-	Circuit  string
-	LFSRSize int
-	Cells    []Table1Cell
+	Circuit  string       // benchmark profile name
+	LFSRSize int          // LFSR size n of the circuit's decompressor
+	Cells    []Table1Cell // one cell per Params.Table1Ls entry, in order
 }
 
 // Table1 reproduces the paper's Table 1: classical (L=1) vs window-based
 // reseeding TDV/TSL per circuit. The (circuit, L) cells are independent and
 // run on the session's worker pool.
-func (s *Session) Table1() ([]Table1Row, error) {
+func (s *Session) Table1(ctx context.Context) ([]Table1Row, error) {
 	names := benchprofile.Names()
 	Ls := s.Params.Table1Ls
 	rows := make([]Table1Row, len(names))
@@ -37,9 +38,9 @@ func (s *Session) Table1() ([]Table1Row, error) {
 		}
 		rows[i] = Table1Row{Circuit: name, LFSRSize: p.LFSRSize, Cells: make([]Table1Cell, len(Ls))}
 	}
-	err := s.parallelFor(len(names)*len(Ls), func(i int) error {
+	err := s.parallelFor(ctx, len(names)*len(Ls), func(i int) error {
 		ci, li := i/len(Ls), i%len(Ls)
-		enc, err := s.Encoding(names[ci], Ls[li])
+		enc, err := s.Encoding(ctx, names[ci], Ls[li])
 		if err != nil {
 			return err
 		}
@@ -90,33 +91,33 @@ func (s *Session) Table1Markdown(rows []Table1Row) string {
 
 // Table2Cell is one (circuit, L) result of the reduction experiment.
 type Table2Cell struct {
-	L     int
+	L     int     // window length
 	Orig  int     // full-window TSL
 	Prop  int     // shortened TSL (best S, k)
 	Impr  float64 // fraction in [0,1]
-	BestS int
-	BestK int
+	BestS int     // segment size of the best reduction
+	BestK int     // speedup factor of the best reduction
 }
 
 // Table2Row is one circuit's row of Table 2.
 type Table2Row struct {
-	Circuit string
-	Cells   []Table2Cell
+	Circuit string       // benchmark profile name
+	Cells   []Table2Cell // one cell per Params.Table2Ls entry, in order
 }
 
 // Table2 reproduces the paper's Table 2: TSL improvement of the State Skip
 // scheme over full windows, best over the (S, k) grid. The (circuit, L)
 // cells are independent and run on the session's worker pool.
-func (s *Session) Table2() ([]Table2Row, error) {
+func (s *Session) Table2(ctx context.Context) ([]Table2Row, error) {
 	names := benchprofile.Names()
 	Ls := s.Params.Table2Ls
 	rows := make([]Table2Row, len(names))
 	for i, name := range names {
 		rows[i] = Table2Row{Circuit: name, Cells: make([]Table2Cell, len(Ls))}
 	}
-	err := s.parallelFor(len(names)*len(Ls), func(i int) error {
+	err := s.parallelFor(ctx, len(names)*len(Ls), func(i int) error {
 		ci, li := i/len(Ls), i%len(Ls)
-		best, err := s.BestReduction(names[ci], Ls[li], s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, names[ci], Ls[li], s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}
@@ -173,20 +174,20 @@ func (s *Session) Table2Markdown(rows []Table2Row) string {
 
 // Fig4Point is one point of a Fig. 4 series.
 type Fig4Point struct {
-	K    int
-	Impr float64
+	K    int     // State Skip speedup factor
+	Impr float64 // TSL improvement over full windows, fraction in [0,1]
 }
 
 // Fig4Series is one bar group or curve of Fig. 4.
 type Fig4Series struct {
-	Label  string // "S=4 (L=300)" or "L=100 (S=5)"
-	Points []Fig4Point
+	Label  string      // "S=4 (L=300)" or "L=100 (S=5)"
+	Points []Fig4Point // one point per Params.Fig4Ks entry, in order
 }
 
 // Fig4 reproduces both sweeps of the paper's Fig. 4 on s13207: TSL
 // improvement vs k for several segment sizes at fixed L (bars), and for
 // several window lengths at fixed S (curves).
-func (s *Session) Fig4() (bars, curves []Fig4Series, err error) {
+func (s *Session) Fig4(ctx context.Context) (bars, curves []Fig4Series, err error) {
 	const circuit = "s13207"
 	// Flatten both sweeps into one list of (L, S) series so they all run
 	// concurrently on the session's worker pool; the k-points of one series
@@ -208,10 +209,10 @@ func (s *Session) Fig4() (bars, curves []Fig4Series, err error) {
 		specs = append(specs, spec{fmt.Sprintf("L=%d (S=%d)", L, S), L, S})
 	}
 	series := make([]Fig4Series, len(specs))
-	err = s.parallelFor(len(specs), func(i int) error {
+	err = s.parallelFor(ctx, len(specs), func(i int) error {
 		serie := Fig4Series{Label: specs[i].label}
 		for _, k := range s.Params.Fig4Ks {
-			red, err := s.Reduce(circuit, specs[i].L, specs[i].S, k)
+			red, err := s.Reduce(ctx, circuit, specs[i].L, specs[i].S, k)
 			if err != nil {
 				return err
 			}
@@ -259,9 +260,9 @@ func (s *Session) Fig4Markdown(bars, curves []Fig4Series) string {
 // Table3Row compares the proposed method against the published test set
 // embedding methods at the session's Table-3 window length.
 type Table3Row struct {
-	Circuit string
-	PropTDV int
-	PropTSL int
+	Circuit string              // benchmark profile name
+	PropTDV int                 // measured TDV of the proposed method
+	PropTSL int                 // measured TSL of the proposed method (best S, k)
 	Lit11   litdata.Table3Entry // Kaseridis et al. [11]
 	Lit22   litdata.Table3Entry // Li & Chakrabarty [22]
 	Impr11  float64             // TSL improvement vs [11]
@@ -270,12 +271,12 @@ type Table3Row struct {
 
 // Table3 reproduces the paper's Table 3 comparison (L=300 at paper scale):
 // our measured TDV/TSL against the published values of [11] and [22].
-func (s *Session) Table3() ([]Table3Row, error) {
+func (s *Session) Table3(ctx context.Context) ([]Table3Row, error) {
 	names := benchprofile.Names()
 	rows := make([]Table3Row, len(names))
-	err := s.parallelFor(len(names), func(i int) error {
+	err := s.parallelFor(ctx, len(names), func(i int) error {
 		name := names[i]
-		best, err := s.BestReduction(name, s.Params.Table3L, s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, name, s.Params.Table3L, s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}
@@ -319,27 +320,27 @@ func (s *Session) Table3Markdown(rows []Table3Row) string {
 
 // Table4Row is one circuit's row of the Table 4 comparison.
 type Table4Row struct {
-	Circuit      string
-	ClassicalTDV int
-	ClassicalTSL int
-	PropTDV      int
-	PropTSL      int
+	Circuit      string         // benchmark profile name
+	ClassicalTDV int            // measured TDV of classical reseeding (L=1)
+	ClassicalTSL int            // measured TSL of classical reseeding (L=1)
+	PropTDV      int            // measured TDV of the proposed method
+	PropTSL      int            // measured TSL of the proposed method (best S, k)
 	Compression  map[string]int // method name → published TDV
 }
 
 // Table4 reproduces the paper's Table 4: the two options for IP cores —
 // test data compression (published TDVs) vs the proposed embedding
 // (classical L=1 and State-Skip-shortened L=200, both measured here).
-func (s *Session) Table4() ([]Table4Row, error) {
+func (s *Session) Table4(ctx context.Context) ([]Table4Row, error) {
 	names := benchprofile.Names()
 	rows := make([]Table4Row, len(names))
-	err := s.parallelFor(len(names), func(i int) error {
+	err := s.parallelFor(ctx, len(names), func(i int) error {
 		name := names[i]
-		classical, err := s.Encoding(name, 1)
+		classical, err := s.Encoding(ctx, name, 1)
 		if err != nil {
 			return err
 		}
-		best, err := s.BestReduction(name, s.Params.Table4PropL, s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, name, s.Params.Table4PropL, s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/benchprofile"
+	"repro/internal/encoder"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
 	"repro/internal/journal"
@@ -63,7 +64,7 @@ type Config struct {
 	// (experiments.Session.Workers); 0 = all CPUs.
 	EngineWorkers int
 	// LaneWords is the default fault-simulator lane width in 64-bit words
-	// (experiments.Session.LaneWords); requests override it per job via
+	// for ATPG and coverage jobs; requests override it per job via
 	// lane_words. 0 = single-word; results are bit-identical for any width.
 	LaneWords int
 	// QueueSize bounds the backlog of queued jobs (0 = 64). A full queue
@@ -202,10 +203,8 @@ func New(cfg Config) (*Server, error) {
 		started:    cfg.Clock(),
 	}
 	s.session.Workers = cfg.EngineWorkers
-	s.session.LaneWords = cfg.LaneWords
 	if cfg.MaxCached > 0 {
 		s.session.SetMaxCached(cfg.MaxCached)
-		s.session.EncTables.SetMax(cfg.MaxCached)
 	}
 
 	var requeue []*job
@@ -696,7 +695,16 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (res *Result,
 }
 
 func (s *Server) runEncode(ctx context.Context, req *Request) (*Result, error) {
-	enc, err := s.session.EncodingCtx(ctx, req.Circuit, req.L)
+	var red *stateskip.Reduction
+	var enc *encoder.Encoding
+	var err error
+	if req.S > 0 && req.K > 0 {
+		if red, err = s.session.Reduce(ctx, req.Circuit, req.L, req.S, req.K); err == nil {
+			enc = red.Enc
+		}
+	} else {
+		enc, err = s.session.Encoding(ctx, req.Circuit, req.L)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -705,22 +713,21 @@ func (s *Server) runEncode(ctx context.Context, req *Request) (*Result, error) {
 		Seeds: len(enc.Seeds), TDV: enc.TDV(), TSL: enc.TSL(),
 		Checks: enc.ChecksPerformed,
 	}
-	if req.S > 0 && req.K > 0 {
-		idx, err := s.session.IndexCtx(ctx, req.Circuit, req.L)
-		if err != nil {
-			return nil, err
-		}
-		opt := stateskip.DefaultOptions(req.S, req.K)
-		opt.Workers = s.cfg.EngineWorkers
-		red, err := stateskip.ReduceWithIndex(enc, idx, opt)
-		if err != nil {
-			return nil, err
-		}
+	if red != nil {
 		r.S, r.K = req.S, req.K
 		r.ReducedTSL = red.TSL()
 		r.Improvement = red.Improvement()
 	}
 	return &Result{Encode: r}, nil
+}
+
+// laneWords resolves a job's fault-simulator lane width: the request's
+// lane_words, else the server-wide Config.LaneWords default.
+func (s *Server) laneWords(req *Request) int {
+	if req.LaneWords != 0 {
+		return req.LaneWords
+	}
+	return s.cfg.LaneWords
 }
 
 // coreFor materialises the request's netlist through the content-addressed
@@ -759,8 +766,7 @@ func (s *Server) runATPG(ctx context.Context, j *job) (*Result, error) {
 	opt := atpg.Options{
 		FaultDrop: true, FillSeed: req.Seed,
 		BacktrackLimit: req.Backtrack, Backtrace: strategy,
-		// 0 lets the session inject the server-wide Config.LaneWords default.
-		LaneWords: req.LaneWords,
+		LaneWords: s.laneWords(req),
 	}
 	if s.journal != nil {
 		// Periodic checkpoints ride the buffered journal path; losing the
@@ -789,7 +795,7 @@ func (s *Server) runATPG(ctx context.Context, j *job) (*Result, error) {
 			s.metrics.resumed.Add(1)
 		}
 	}
-	u, res, err := s.session.ATPGOptsCtx(ctx, core, opt)
+	u, res, err := s.session.ATPG(ctx, core, opt)
 	if err != nil {
 		if res != nil { // partial progress from a cancelled/deadlined run
 			return &Result{ATPG: atpgResult(st, u, res)}, err
@@ -824,11 +830,7 @@ func (s *Server) runCoverage(ctx context.Context, req *Request) (*Result, error)
 		}
 		patterns[i] = p
 	}
-	lanes := req.LaneWords
-	if lanes == 0 {
-		lanes = s.cfg.LaneWords
-	}
-	detected, cov, err := faultsim.CoverageCtx(ctx, u, patterns, faultsim.Options{Workers: s.cfg.EngineWorkers, LaneWords: lanes})
+	detected, cov, err := faultsim.CoverageCtx(ctx, u, patterns, faultsim.Options{Workers: s.cfg.EngineWorkers, LaneWords: s.laneWords(req)})
 	if err != nil {
 		return nil, err
 	}

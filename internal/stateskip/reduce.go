@@ -113,13 +113,14 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 			// every seed's full window, so buffer reuse removes L vector
 			// allocations per seed. Results are index-addressed, hence
 			// identical for any worker count.
-			window := make([]gf2.Vec, enc.Cfg.WindowLen)
+			t := enc.Cfg.Tables
+			window := make([]gf2.Vec, t.WindowLen())
 			for {
 				si := int(next.Add(1)) - 1
 				if si >= len(enc.Seeds) {
 					return
 				}
-				encoder.GenerateWindowInto(window, enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, enc.Seeds[si].Value, enc.Cfg.WindowLen)
+				encoder.GenerateWindowInto(window, t.LFSR(), t.PS(), t.Geo(), enc.Seeds[si].Value, t.WindowLen())
 				found := make([][]int, nCubes)
 				for v, vec := range window {
 					for ci := 0; ci < nCubes; ci++ {
@@ -155,7 +156,7 @@ func Reduce(enc *encoder.Encoding, opt Options) (*Reduction, error) {
 // (pass nil to scan internally). Sharing one index across an (S, k) sweep
 // avoids rescanning seeds × L vectors × cubes for every combination.
 func ReduceWithIndex(enc *encoder.Encoding, idx *VecEmbeddings, opt Options) (*Reduction, error) {
-	L := enc.Cfg.WindowLen
+	L := enc.Cfg.Tables.WindowLen()
 	if opt.SegmentSize < 1 || opt.SegmentSize > L {
 		return nil, fmt.Errorf("stateskip: segment size %d outside [1,%d]", opt.SegmentSize, L)
 	}
@@ -341,7 +342,7 @@ func (r *Reduction) TotalUseful() int {
 // segLen returns the vector count of one segment (the last segment of a
 // window may be shorter when S does not divide L).
 func (r *Reduction) segLen(seg int) int {
-	L, S := r.Enc.Cfg.WindowLen, r.Opt.SegmentSize
+	L, S := r.Enc.Cfg.Tables.WindowLen(), r.Opt.SegmentSize
 	if (seg+1)*S <= L {
 		return S
 	}
@@ -383,7 +384,7 @@ type Run struct {
 // collapsing as k rises, instead of flooring at one vector per segment.
 func (r *Reduction) Runs(seed int) []Run {
 	last := r.lastUseful(seed)
-	rlen := r.Enc.Cfg.Geo.Length
+	rlen := r.Enc.Cfg.Tables.Geo().Length
 	k := r.Opt.Speedup
 	var runs []Run
 	for seg := 0; seg <= last; {
@@ -490,8 +491,7 @@ func (r *Reduction) AppliedVectors() []gf2.Vec {
 // seedApplied simulates one seed's shortened window at clock accuracy.
 func (r *Reduction) seedApplied(seed int) []gf2.Vec {
 	enc := r.Enc
-	geo := enc.Cfg.Geo
-	l, ps := enc.Cfg.LFSR, enc.Cfg.PS
+	geo, l, ps := enc.Cfg.Tables.Geo(), enc.Cfg.Tables.LFSR(), enc.Cfg.Tables.PS()
 	k := r.Opt.Speedup
 	skip := l.SkipMatrix(uint64(k))
 

@@ -135,7 +135,7 @@ func TestSpeedupShortensSequence(t *testing.T) {
 	// With k=1 skip mode degenerates to normal mode: the only saving is
 	// early termination after the last useful segment.
 	for si := range base.Useful {
-		if got := base.SeedClocks(si); got > enc.Cfg.WindowLen*enc.Cfg.Geo.Length {
+		if got := base.SeedClocks(si); got > enc.Cfg.Tables.WindowLen()*enc.Cfg.Tables.Geo().Length {
 			t.Errorf("seed %d: k=1 clocks %d exceed full window", si, got)
 		}
 	}
@@ -211,7 +211,7 @@ func TestSegmentAccounting(t *testing.T) {
 	if red.segLen(0) != 6 || red.segLen(3) != 2 {
 		t.Errorf("segment lengths %d,%d want 6,2", red.segLen(0), red.segLen(3))
 	}
-	rlen := enc.Cfg.Geo.Length
+	rlen := enc.Cfg.Tables.Geo().Length
 	for si := range red.Useful {
 		// Per-seed TSL must equal the simulated applied stream length.
 		if got, want := len(red.seedApplied(si)), red.SeedTSL(si); got != want {

@@ -93,7 +93,7 @@ func ModeSelect(red *stateskip.Reduction, coreName string) string {
 	seedBits := bitsFor(len(red.Useful))
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Mode Select for core %s: L=%d, S=%d, %d seeds, %d useful segments\n",
-		coreName, red.Enc.Cfg.WindowLen, red.Opt.SegmentSize, len(red.Useful), red.TotalUseful())
+		coreName, red.Enc.Cfg.Tables.WindowLen(), red.Opt.SegmentSize, len(red.Useful), red.TotalUseful())
 	fmt.Fprintf(&b, "module mode_select_%s (\n  input  wire [%d:0] seed_idx,\n  input  wire [%d:0] segment,\n  output reg  mode\n);\n",
 		coreName, seedBits-1, segBits-1)
 	b.WriteString("  always @* begin\n    if (segment == 0)\n      mode = 1'b1; // first segment of every seed is useful\n    else begin\n      case ({seed_idx, segment})\n")
@@ -122,9 +122,9 @@ func bitsFor(n int) int {
 // widths come from the schedule's actual group structure.
 func DecompressorTop(red *stateskip.Reduction, coreName string) string {
 	enc := red.Enc
-	n := enc.Cfg.LFSR.Size()
-	m := enc.Cfg.PS.Outputs()
-	rBits := bitsFor(enc.Cfg.Geo.Length)
+	n := enc.Cfg.Tables.LFSR().Size()
+	m := enc.Cfg.Tables.PS().Outputs()
+	rBits := bitsFor(enc.Cfg.Tables.Geo().Length)
 	sBits := bitsFor(red.Opt.SegmentSize)
 	segBits := bitsFor(red.Segs)
 	seedBits := bitsFor(len(red.Useful))
@@ -138,7 +138,7 @@ func DecompressorTop(red *stateskip.Reduction, coreName string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Decompressor top for core %s (Fig. 3 of the paper)\n", coreName)
 	fmt.Fprintf(&b, "// n=%d, m=%d, r=%d, S=%d, k=%d, %d seeds, %d segment(s)/window\n",
-		n, m, enc.Cfg.Geo.Length, red.Opt.SegmentSize, red.Opt.Speedup, len(red.Useful), red.Segs)
+		n, m, enc.Cfg.Tables.Geo().Length, red.Opt.SegmentSize, red.Opt.Speedup, len(red.Useful), red.Segs)
 	fmt.Fprintf(&b, `module decompressor_top_%s (
   input  wire clk,
   input  wire rst,
