@@ -16,11 +16,13 @@
 // Tables holds the immutable per-netlist structures, built once and shared;
 // Generator is cheap per-worker scratch. Implication is event-driven: a PI
 // assignment propagates 3-valued good/faulty values only through the
-// changed cone via a levelized event queue, every change is recorded on a
-// trail so backtracking undoes exactly the changed gates, and the
-// D-frontier is maintained incrementally from the same change events. The
-// old full-resimulation engine is kept in reference_test.go as the oracle
-// the differential and fuzz tests compare states and results against.
+// changed part of the fault's live region (the gates any decision can
+// read, see pickLive) via a levelized event queue, every change is
+// recorded on a trail so backtracking undoes exactly the changed gates,
+// and the D-frontier is maintained incrementally from the same change
+// events. The old full-resimulation engine is kept in reference_test.go as
+// the oracle the differential and fuzz tests compare states and results
+// against.
 package atpg
 
 import (
@@ -82,9 +84,17 @@ type Generator struct {
 	// into it.
 	trail []trailEntry
 
-	// Fault output cone (unordered) — the only gates where good and faulty
-	// values can differ, hence the only candidates for the D-frontier and
-	// the only gates whose faulty value needs evaluating at all.
+	// live is the fault's live region (see pickLive): the only gates whose
+	// values a PODEM decision can read. Implication never evaluates or
+	// re-checks a gate outside it, so those gates keep X/X. It aliases
+	// Tables.observable or siteMark, the activation site's fan-in cone.
+	live     []bool
+	siteCone []int
+	siteMark []bool
+
+	// Live part of the fault output cone (unordered) — the only live gates
+	// where good and faulty values can differ, hence the only candidates
+	// for the D-frontier.
 	cone     []int
 	coneMark []bool
 
@@ -113,8 +123,7 @@ type Generator struct {
 	seen      []uint32
 	seenEpoch uint32
 
-	gbuf, bbuf []uint8
-	decisions  []decision
+	decisions []decision
 
 	// mb is the multiple-backtrace scratch (vote counters, forced-chain
 	// marks), allocated on the first BacktraceMulti decision.
@@ -278,8 +287,9 @@ func (g *Generator) canceled() bool {
 	return g.Ctx.Err() != nil
 }
 
-// begin resets the engine for one fault: all values X, the fault injected,
-// and its constant effects propagated through the fault cone.
+// begin resets the engine for one fault: all values X, the live region
+// chosen, the fault injected, and its constant effects propagated through
+// the live fault cone.
 func (g *Generator) begin(f faultsim.Fault) {
 	g.fault = f
 	copy(g.good, g.t.xfill)
@@ -292,6 +302,7 @@ func (g *Generator) begin(f faultsim.Fault) {
 	g.dirty = g.dirty[:0]
 	g.trail = g.trail[:0]
 	g.detCount = 0 // all values X: no output can show a difference
+	g.pickLive(f)
 	g.computeCone(f)
 	g.newWave()
 	if f.Pin == -1 {
@@ -299,16 +310,52 @@ func (g *Generator) begin(f faultsim.Fault) {
 		// part of the base state, below every undo mark.
 		g.bad[f.Gate] = f.Stuck
 		g.markDirty(f.Gate)
-		for _, fo := range g.t.fanout[f.Gate] {
-			g.markDirty(fo)
-			g.schedule(fo)
-		}
-	} else {
+		g.wake(f.Gate)
+	} else if g.live[f.Gate] {
 		// An input-pin fault only changes how f.Gate evaluates.
 		g.markDirty(f.Gate)
 		g.schedule(f.Gate)
 	}
 	g.run()
+}
+
+// pickLive selects the fault's live region: every gate whose value a PODEM
+// decision can read. When the fault's gate is observable that is the
+// observable set. Objectives, backtraces, votes and forced chains read the
+// activation site's fan-in cone, X-path D-frontier gates (observable by
+// definition) and their fan-ins, and the outputs — all observable, and
+// observability is closed under fan-in. When the gate reaches no output,
+// no difference can ever be detected or propagated: once the site is
+// activated the objective is infeasible, so only the site's fan-in cone is
+// ever read. Either region is closed under fan-in, so implication
+// confined to it computes exactly the full simulation's values there.
+func (g *Generator) pickLive(f faultsim.Fault) {
+	for _, gi := range g.siteCone {
+		g.siteMark[gi] = false
+	}
+	g.siteCone = g.siteCone[:0]
+	if g.t.observable[f.Gate] {
+		g.live = g.t.observable
+		return
+	}
+	site := g.t.site(f)
+	stack := g.dfStack[:0]
+	g.siteMark[site] = true
+	g.siteCone = append(g.siteCone, site)
+	stack = append(stack, site)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, fi := range g.t.fanin(cur) {
+			if !g.siteMark[fi] {
+				g.siteMark[fi] = true
+				g.siteCone = append(g.siteCone, int(fi))
+				stack = append(stack, int(fi))
+			}
+		}
+	}
+	g.dfStack = stack[:0]
+	g.live = g.siteMark
 }
 
 // newWave opens a fresh event epoch for the queue and dirty stamps.
@@ -337,14 +384,19 @@ func (g *Generator) schedule(gi int) {
 	}
 }
 
-// computeCone collects the fault site's output cone — unordered; only
-// membership matters here, for confining faulty-value evaluation and
-// frontier maintenance.
+// computeCone collects the live part of the fault's output cone —
+// unordered; only membership matters here, for confining frontier
+// maintenance. Every live cone gate is reached through live gates (the
+// live region is closed under fan-in), and an input-pin fault on a gate
+// outside the live region has an empty live cone.
 func (g *Generator) computeCone(f faultsim.Fault) {
 	for _, gi := range g.cone {
 		g.coneMark[gi] = false
 	}
 	g.cone = g.cone[:0]
+	if !g.live[f.Gate] {
+		return
+	}
 	stack := g.dfStack[:0]
 	g.coneMark[f.Gate] = true
 	g.cone = append(g.cone, f.Gate)
@@ -353,7 +405,7 @@ func (g *Generator) computeCone(f faultsim.Fault) {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, fo := range g.t.fanout[cur] {
-			if !g.coneMark[fo] {
+			if g.live[fo] && !g.coneMark[fo] {
 				g.coneMark[fo] = true
 				g.cone = append(g.cone, fo)
 				stack = append(stack, fo)
@@ -364,8 +416,9 @@ func (g *Generator) computeCone(f faultsim.Fault) {
 }
 
 // markDirty queues a gate for a D-frontier membership re-check. Gates
-// outside the fault cone can never hold a good/faulty difference on a
-// fan-in, so they are never candidates and are skipped outright.
+// outside the live fault cone are never candidates — no good/faulty
+// difference reaches their fan-ins, or no decision reads them — and are
+// skipped outright.
 func (g *Generator) markDirty(gi int) {
 	if !g.coneMark[gi] || g.dirtyStamp[gi] == g.wave {
 		return
@@ -375,16 +428,24 @@ func (g *Generator) markDirty(gi int) {
 }
 
 // setValue applies one gate's new 3-valued pair, records the old pair on
-// the trail, and wakes the gate's fan-out cone (events + frontier checks).
+// the trail, and wakes the gate's live fan-outs (events + frontier checks).
 func (g *Generator) setValue(gi int, ng, nb uint8) {
 	g.trail = append(g.trail, trailEntry{gate: int32(gi), good: g.good[gi], bad: g.bad[gi]})
 	g.detDelta(gi, g.good[gi], g.bad[gi], ng, nb)
 	g.good[gi] = ng
 	g.bad[gi] = nb
 	g.markDirty(gi)
+	g.wake(gi)
+}
+
+// wake queues gate gi's live fan-outs for re-evaluation and a D-frontier
+// re-check after gi's value changed.
+func (g *Generator) wake(gi int) {
 	for _, fo := range g.t.fanout[gi] {
-		g.markDirty(fo)
-		g.schedule(fo)
+		if g.live[fo] {
+			g.markDirty(fo)
+			g.schedule(fo)
+		}
 	}
 }
 
@@ -436,37 +497,91 @@ func (g *Generator) run() {
 	}
 }
 
+// gateOp is how evalGate folds a gate's fan-ins: AND, OR or XOR over
+// their dual-rail codes, plus an output-inversion flag. A BUF is a
+// one-input AND and a NOT a one-input NAND.
+type gateOp uint8
+
+const (
+	opAnd gateOp = iota
+	opOr
+	opXor
+	opInv gateOp = 4 // output inverted: NOT, NAND, NOR, XNOR
+)
+
+// opOf maps a gate type to its fold. Inputs are never evaluated.
+func opOf(t netlist.GateType) gateOp {
+	switch t {
+	case netlist.Not, netlist.Nand:
+		return opAnd | opInv
+	case netlist.Or:
+		return opOr
+	case netlist.Nor:
+		return opOr | opInv
+	case netlist.Xor:
+		return opXor
+	case netlist.Xnor:
+		return opXor | opInv
+	default:
+		return opAnd
+	}
+}
+
+// railValue decodes a 2-bit dual-rail code — bit 1 "can be 1", bit 0 "is
+// 1": 0 = 00, 1 = 11, X = 10 — to a 3-valued value, un-inverted ([0]) or
+// inverted ([1]). Code 01 never arises.
+var railValue = [2][4]uint8{{v0, v0, vX, v1}, {v1, v1, vX, v0}}
+
+// code packs fan-in fi's good and faulty values into one byte of dual-rail
+// codes: the good code in bits 0–1, the faulty code in bits 4–5 (the bit
+// above each rail is noise, masked off at decode). The code of a value v is
+// v | v<<1. stuck substitutes the fault's stuck value on the faulty rail —
+// the fault's own input pin.
+func (g *Generator) code(fi int32, stuck bool) uint8 {
+	b := g.bad[fi]
+	if stuck {
+		b = g.fault.Stuck
+	}
+	x := g.good[fi] | b<<4
+	return x | x<<1
+}
+
 // evalGate recomputes one gate's good/faulty pair with the fault injected
-// and emits a change event if the pair moved. Outside the fault cone the
-// faulty circuit is indistinguishable from the good one (every fan-in has
-// bad == good), so only one evaluation is needed there.
+// and emits a change event if the pair moved. It folds the CSR fan-ins'
+// packed codes with no gather: AND/OR of codes is the 3-valued AND/OR of
+// both circuits at once. Outside the fault cone every fan-in has bad ==
+// good, so the faulty rail simply repeats the good one.
 func (g *Generator) evalGate(gi int) {
-	gate := &g.t.net.Gates[gi]
-	f := g.fault
-	if !g.coneMark[gi] {
-		g.gbuf = g.gbuf[:0]
-		for _, fi := range gate.Fanin {
-			g.gbuf = append(g.gbuf, g.good[fi])
-		}
-		ng := eval3(gate.Type, g.gbuf)
-		if ng == g.good[gi] {
-			return // reconverged: nothing propagates
-		}
-		g.setValue(gi, ng, ng)
-		return
+	f := &g.fault
+	pin := -1 // the fan-in whose faulty value is stuck, if any
+	if gi == f.Gate {
+		pin = f.Pin
 	}
-	g.gbuf, g.bbuf = g.gbuf[:0], g.bbuf[:0]
-	for pin, fi := range gate.Fanin {
-		gv, bv := g.good[fi], g.bad[fi]
-		if f.Gate == gi && f.Pin == pin {
-			bv = f.Stuck
+	op := g.t.op[gi]
+	var r uint8
+	switch op &^ opInv {
+	case opAnd:
+		r = 0xff
+		for k, fi := range g.t.fanin(gi) {
+			r &= g.code(fi, k == pin)
 		}
-		g.gbuf = append(g.gbuf, gv)
-		g.bbuf = append(g.bbuf, bv)
+	case opOr:
+		for k, fi := range g.t.fanin(gi) {
+			r |= g.code(fi, k == pin)
+		}
+	default: // opXor: X if any fan-in is X, else the parity
+		var xs, par uint8
+		for k, fi := range g.t.fanin(gi) {
+			c := g.code(fi, k == pin)
+			xs |= c ^ c>>1 // bits 0 and 4: that rail's code is X (10)
+			par ^= c       // bits 0 and 4: that rail's parity
+		}
+		xs, par = xs&0x11, par&0x11
+		r = (xs|par)<<1 | par&^xs
 	}
-	ng := eval3(gate.Type, g.gbuf)
-	nb := eval3(gate.Type, g.bbuf)
-	if f.Gate == gi && f.Pin == -1 {
+	dec := &railValue[op>>2]
+	ng, nb := dec[r&3], dec[r>>4&3]
+	if gi == f.Gate && pin < 0 {
 		nb = f.Stuck
 	}
 	if ng == g.good[gi] && nb == g.bad[gi] {
@@ -489,7 +604,7 @@ func (g *Generator) undoTo(mark int) {
 		g.bad[gi] = e.bad
 		g.markDirty(gi)
 		for _, fo := range g.t.fanout[gi] {
-			g.markDirty(fo)
+			g.markDirty(fo) // non-live fan-outs are outside the cone: skipped
 		}
 	}
 	g.flushFrontier()
@@ -519,14 +634,10 @@ func (g *Generator) flushFrontier() {
 // isFrontier reports whether a gate is on the D-frontier: output still X
 // (good or faulty) with a definite good/faulty difference on some input.
 func (g *Generator) isFrontier(gi int) bool {
-	gate := &g.t.net.Gates[gi]
-	if gate.Type == netlist.Input {
-		return false
-	}
 	if g.good[gi] != vX && g.bad[gi] != vX {
 		return false
 	}
-	for pin, fi := range gate.Fanin {
+	for pin, fi := range g.t.fanin(gi) { // inputs have none: never frontier
 		gv, bv := g.good[fi], g.bad[fi]
 		if g.fault.Gate == gi && g.fault.Pin == pin {
 			bv = g.fault.Stuck
@@ -564,63 +675,6 @@ func (g *Generator) dFrontier() []int {
 	return out
 }
 
-// eval3 is 3-valued gate evaluation.
-func eval3(t netlist.GateType, in []uint8) uint8 {
-	switch t {
-	case netlist.Buf:
-		return in[0]
-	case netlist.Not:
-		if in[0] == vX {
-			return vX
-		}
-		return in[0] ^ 1
-	case netlist.And, netlist.Nand:
-		v := v1
-		for _, b := range in {
-			if b == v0 {
-				v = v0
-				break
-			}
-			if b == vX {
-				v = vX
-			}
-		}
-		if v != vX && t == netlist.Nand {
-			v ^= 1
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := v0
-		for _, b := range in {
-			if b == v1 {
-				v = v1
-				break
-			}
-			if b == vX {
-				v = vX
-			}
-		}
-		if v != vX && t == netlist.Nor {
-			v ^= 1
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := v0
-		for _, b := range in {
-			if b == vX {
-				return vX
-			}
-			v ^= b
-		}
-		if t == netlist.Xnor {
-			v ^= 1
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("atpg: eval3 on %v", t))
-	}
-}
-
 // detected reports whether some primary output shows a definite
 // good/faulty difference, from the incrementally maintained count.
 func (g *Generator) detected() bool {
@@ -633,10 +687,7 @@ func (g *Generator) objective() (gate int, val uint8, feasible bool) {
 	f := g.fault
 	// Activation: the fault site's good value must be the complement of
 	// the stuck value.
-	site := f.Gate
-	if f.Pin >= 0 {
-		site = g.t.net.Gates[f.Gate].Fanin[f.Pin]
-	}
+	site := g.t.site(f)
 	switch g.good[site] {
 	case vX:
 		return site, f.Stuck ^ 1, true
@@ -747,8 +798,8 @@ func (g *Generator) xPathToOutput(gi int) bool {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, fo := range g.t.fanout[cur] {
-			if g.seen[fo] == g.seenEpoch {
-				continue
+			if !g.live[fo] || g.seen[fo] == g.seenEpoch {
+				continue // non-live: unobservable whenever a frontier exists
 			}
 			g.seen[fo] = g.seenEpoch
 			if g.good[fo] != vX && g.bad[fo] != vX {

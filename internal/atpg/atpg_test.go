@@ -191,18 +191,31 @@ func BenchmarkImply(b *testing.B) {
 	})
 }
 
+// BenchmarkPODEMRandom runs Generate round-robin over a core's whole
+// fault universe. "dead-logic" is a core where a third of the gates reach
+// no output: their faults imply only the activation site's fan-in cone.
 func BenchmarkPODEMRandom(b *testing.B) {
-	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 32, Outputs: 8, Gates: 200, MaxFan: 3, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := faultsim.NewUniverse(nl)
-	g, err := New(nl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Generate(u.Faults[i%len(u.Faults)])
+	for _, bc := range []struct {
+		name string
+		cfg  netlist.RandomConfig
+	}{
+		{"random", netlist.RandomConfig{Inputs: 32, Outputs: 8, Gates: 200, MaxFan: 3, Seed: 42}},
+		{"dead-logic", netlist.RandomConfig{Inputs: 64, Outputs: 32, Gates: 300, MaxFan: 4, Seed: 77}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			nl, err := netlist.Random(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			u := faultsim.NewUniverse(nl)
+			g, err := New(nl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Generate(u.Faults[i%len(u.Faults)])
+			}
+		})
 	}
 }

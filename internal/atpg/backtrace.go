@@ -146,10 +146,7 @@ func (g *Generator) ensureMulti() {
 func (g *Generator) multiDecision() (piIdx int, piVal uint8, ok, forced bool) {
 	g.ensureMulti()
 	f := g.fault
-	site := f.Gate
-	if f.Pin >= 0 {
-		site = g.t.net.Gates[f.Gate].Fanin[f.Pin]
-	}
+	site := g.t.site(f)
 	switch g.good[site] {
 	case f.Stuck:
 		return 0, 0, false, false // activation impossible under current assignment

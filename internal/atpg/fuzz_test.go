@@ -4,11 +4,12 @@ package atpg
 // against the full-resimulation reference. FuzzGenerate fuzzes circuit
 // shape, fault site and backtrack budget and compares whole PODEM runs;
 // FuzzImply fuzzes a raw assign/undo decision sequence and compares the
-// complete 3-valued state and D-frontier after every step. A small seed
+// live-region 3-valued state and D-frontier after every step. A small seed
 // corpus is checked into testdata/fuzz/; CI runs a short -fuzz smoke on
 // FuzzImply.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -103,8 +104,9 @@ func FuzzGenerate(f *testing.F) {
 
 // FuzzImply drives the event-driven engine through a fuzzed sequence of PI
 // assignments and trail undos — decision orders PODEM itself would never
-// pick — and asserts the full good/bad state and the incremental
-// D-frontier equal a fresh full re-simulation after every single step.
+// pick — and asserts after every single step that the live-region state
+// and the incremental D-frontier equal a fresh full re-simulation
+// (compareEngineState).
 func FuzzImply(f *testing.F) {
 	f.Add(uint64(1), uint64(0), []byte{12, 4, 48, 1}, []byte{0x02, 0x05, 0x81, 0x04, 0x80})
 	f.Add(uint64(42), uint64(33), []byte{8, 3, 60, 2}, []byte{0x01, 0x03, 0x07, 0x80, 0x80, 0x06})
@@ -116,24 +118,7 @@ func FuzzImply(f *testing.F) {
 		checker := newRefGenerator(tables)
 		checker.computeCone(fault)
 		step := -1
-		check := func() {
-			checker.resimulateFrom(g.good, fault)
-			for gi := range g.good {
-				if g.good[gi] != checker.good[gi] || g.bad[gi] != checker.bad[gi] {
-					t.Fatalf("step %d gate %d: event good=%d bad=%d, reference good=%d bad=%d",
-						step, gi, g.good[gi], g.bad[gi], checker.good[gi], checker.bad[gi])
-				}
-			}
-			got, want := g.dFrontier(), checker.dFrontier(fault)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: D-frontier %v, reference %v", step, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: D-frontier %v, reference %v", step, got, want)
-				}
-			}
-		}
+		check := func() { compareEngineState(t, fmt.Sprintf("step %d", step), g, checker, fault) }
 		g.begin(fault)
 		check()
 		var marks []int
@@ -149,8 +134,10 @@ func FuzzImply(f *testing.F) {
 				continue
 			}
 			pi := int(op>>1) % len(nl.Inputs)
-			if g.good[nl.Inputs[pi]] != vX {
-				continue // PODEM only ever assigns unassigned inputs
+			if gi := nl.Inputs[pi]; g.good[gi] != vX || !g.live[gi] {
+				// PODEM only ever assigns unassigned inputs, and only live
+				// ones: every objective and backtrace stays in the live region.
+				continue
 			}
 			marks = append(marks, len(g.trail))
 			g.assign(pi, op&1)

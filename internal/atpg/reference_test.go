@@ -8,6 +8,7 @@ package atpg
 // Generate results (cube, Status) for every fault.
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/cube"
@@ -137,6 +138,64 @@ func (g *refGenerator) simulate(f faultsim.Fault) {
 		if f.Gate == gi && f.Pin == -1 {
 			g.bad[gi] = f.Stuck
 		}
+	}
+}
+
+// eval3 is 3-valued gate evaluation, one fan-in value at a time — the
+// reference the Generator's dual-rail CSR fold must agree with.
+func eval3(t netlist.GateType, in []uint8) uint8 {
+	switch t {
+	case netlist.Buf:
+		return in[0]
+	case netlist.Not:
+		if in[0] == vX {
+			return vX
+		}
+		return in[0] ^ 1
+	case netlist.And, netlist.Nand:
+		v := v1
+		for _, b := range in {
+			if b == v0 {
+				v = v0
+				break
+			}
+			if b == vX {
+				v = vX
+			}
+		}
+		if v != vX && t == netlist.Nand {
+			v ^= 1
+		}
+		return v
+	case netlist.Or, netlist.Nor:
+		v := v0
+		for _, b := range in {
+			if b == v1 {
+				v = v1
+				break
+			}
+			if b == vX {
+				v = vX
+			}
+		}
+		if v != vX && t == netlist.Nor {
+			v ^= 1
+		}
+		return v
+	case netlist.Xor, netlist.Xnor:
+		v := v0
+		for _, b := range in {
+			if b == vX {
+				return vX
+			}
+			v ^= b
+		}
+		if t == netlist.Xnor {
+			v ^= 1
+		}
+		return v
+	default:
+		panic(fmt.Sprintf("atpg: eval3 on %v", t))
 	}
 }
 

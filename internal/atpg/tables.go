@@ -3,6 +3,7 @@ package atpg
 import (
 	"sync/atomic"
 
+	"repro/internal/faultsim"
 	"repro/internal/netlist"
 )
 
@@ -12,13 +13,15 @@ import (
 var tablesBuilt atomic.Uint64
 
 // Tables is the immutable per-netlist half of the PODEM engine: the
-// levelized order, per-gate levels, fan-out lists, output/input maps and
-// SCOAP-flavoured controllability weights. It is built once per netlist
-// (NewTables) and shared read-only by every Generator, mirroring the
-// Universe/Simulator split in internal/faultsim — a worker pool pays for
-// these structures once, and per-worker Generators are allocation-light
-// scratch state. The immutable-after-build contract is enforced by the
-// frozentables analyzer (internal/lint) via the marker below.
+// levelized order, per-gate levels, fan-out lists, the CSR fan-in layout
+// the implication kernel folds over, output/input maps, output
+// reachability and SCOAP-flavoured controllability weights. It is built
+// once per netlist (NewTables) and shared read-only by every Generator,
+// mirroring the Universe/Simulator split in internal/faultsim — a worker
+// pool pays for these structures once, and per-worker Generators are
+// allocation-light scratch state. The immutable-after-build contract is
+// enforced by the frozentables analyzer (internal/lint) via the marker
+// below.
 //
 // lint:frozen
 type Tables struct {
@@ -29,7 +32,16 @@ type Tables struct {
 	numLevels  int
 	numOutputs int // len(net.Outputs) at build time, for staleness checks
 	fanout     [][]int
-	isOutput   []bool
+	// CSR fan-in: gate gi reads faninList[faninOff[gi]:faninOff[gi+1]] in
+	// pin order, and op[gi] says how evalGate folds them.
+	faninOff  []int32
+	faninList []int32
+	op        []gateOp
+	isOutput  []bool
+	// observable marks gates with a path to some primary output (the
+	// netlist's shared cache): the live region of every fault whose gate
+	// is observable.
+	observable []bool
 	inputIdx   []int // gate index → position in net.Inputs, -1 otherwise
 	// controllability: rough SCOAP-like effort to set a signal to 0/1,
 	// used by backtrace to pick the easiest input.
@@ -57,6 +69,7 @@ func NewTables(n *netlist.Netlist) (*Tables, error) {
 		numOutputs: len(n.Outputs),
 		fanout:     n.Fanouts(),
 		isOutput:   make([]bool, n.NumGates()),
+		observable: n.Observable(),
 		inputIdx:   make([]int, n.NumGates()),
 		xfill:      make([]uint8, n.NumGates()),
 	}
@@ -75,8 +88,49 @@ func NewTables(n *netlist.Netlist) (*Tables, error) {
 	for i := range t.xfill {
 		t.xfill[i] = vX
 	}
+	t.buildFanin()
 	t.computeControllability()
 	return t, nil
+}
+
+// buildFanin lays the fan-in lists out as CSR — one offset slab, one
+// list slab, both sized up front — with each gate's fold op.
+func (t *Tables) buildFanin() {
+	gates := t.net.Gates
+	total := 0
+	for gi := range gates {
+		total += len(gates[gi].Fanin)
+	}
+	t.faninOff = make([]int32, len(gates)+1)
+	t.faninList = make([]int32, total)
+	t.op = make([]gateOp, len(gates))
+	k := int32(0)
+	for gi := range gates {
+		gate := &gates[gi]
+		t.faninOff[gi] = k
+		for _, fi := range gate.Fanin {
+			t.faninList[k] = int32(fi)
+			k++
+		}
+		t.op[gi] = opOf(gate.Type)
+	}
+	t.faninOff[len(gates)] = k
+}
+
+// fanin returns gate gi's fan-ins, in pin order, as a view into the CSR
+// slab.
+func (t *Tables) fanin(gi int) []int32 {
+	return t.faninList[t.faninOff[gi]:t.faninOff[gi+1]]
+}
+
+// site returns a fault's activation site: the faulty signal whose good
+// value must be the complement of the stuck value — the gate itself for a
+// stem fault, the driving fan-in for an input-pin fault.
+func (t *Tables) site(f faultsim.Fault) int {
+	if f.Pin >= 0 {
+		return t.net.Gates[f.Gate].Fanin[f.Pin]
+	}
+	return f.Gate
 }
 
 // Netlist returns the circuit the tables were built over.
@@ -155,6 +209,7 @@ func (t *Tables) NewGenerator() *Generator {
 		levels:         make([][]int, t.numLevels),
 		queued:         make([]uint32, ng),
 		coneMark:       make([]bool, ng),
+		siteMark:       make([]bool, ng),
 		inFrontier:     make([]bool, ng),
 		inList:         make([]bool, ng),
 		dirtyStamp:     make([]uint32, ng),

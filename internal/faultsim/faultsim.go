@@ -102,8 +102,9 @@ func NewUniverse(n *netlist.Netlist) *Universe {
 
 // topology holds the per-circuit structures every Simulator shares: the
 // topological order, per-gate levels, CSR lists of observable fan-outs and
-// output reachability. It is immutable once built; order and level are the
-// netlist's shared caches (netlist.Levelize/Levels), never mutated here.
+// output reachability. It is immutable once built; order, level and
+// observable are the netlist's shared caches (netlist.Levelize/Levels/
+// Observable), never mutated here.
 // The fan-out lists are stored index-based — one flat int32 adjacency slab
 // plus an offset array — so a 100k-gate topology is two allocations, not
 // one slice header per gate.
@@ -117,9 +118,8 @@ type topology struct {
 	observable []bool // gate has a path to some primary output
 }
 
-// fanouts returns gate gi's fan-out list as a view into the CSR slab (all
-// fan-outs while newTopology computes observability, the observable ones
-// after).
+// fanouts returns gate gi's observable fan-outs as a view into the CSR
+// slab.
 func (t *topology) fanouts(gi int) []int32 {
 	return t.fanoutList[t.fanoutOff[gi]:t.fanoutOff[gi+1]]
 }
@@ -148,15 +148,18 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 		level:      level,
 		numLevels:  numLevels,
 		isOutput:   make([]bool, ng),
-		observable: make([]bool, ng),
+		observable: n.Observable(),
 	}
-	// CSR fan-out: count loads per signal, prefix-sum into offsets, then
-	// fill in ascending gate order — the same per-gate order the old
-	// slice-of-slices build produced.
+	// CSR fan-out over observable readers only: events outside the
+	// observable set can never change a primary output, so detect schedules
+	// whole lists without a per-edge check. Count loads per signal,
+	// prefix-sum into offsets, then fill in ascending gate order.
 	t.fanoutOff = make([]int32, ng+1)
-	for _, g := range n.Gates {
-		for _, f := range g.Fanin {
-			t.fanoutOff[f+1]++
+	for gi, g := range n.Gates {
+		if t.observable[gi] {
+			for _, f := range g.Fanin {
+				t.fanoutOff[f+1]++
+			}
 		}
 	}
 	for gi := 0; gi < ng; gi++ {
@@ -166,45 +169,16 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 	cur := make([]int32, ng)
 	copy(cur, t.fanoutOff[:ng])
 	for gi, g := range n.Gates {
-		for _, f := range g.Fanin {
-			t.fanoutList[cur[f]] = int32(gi)
-			cur[f]++
+		if t.observable[gi] {
+			for _, f := range g.Fanin {
+				t.fanoutList[cur[f]] = int32(gi)
+				cur[f]++
+			}
 		}
 	}
 	for _, o := range n.Outputs {
 		t.isOutput[o] = true
 	}
-	// Output reachability in reverse topological order: a gate is observable
-	// iff it is an output or some fan-out gate is.
-	for i := len(order) - 1; i >= 0; i-- {
-		gi := order[i]
-		if t.isOutput[gi] {
-			t.observable[gi] = true
-			continue
-		}
-		for _, fo := range t.fanouts(gi) {
-			if t.observable[fo] {
-				t.observable[gi] = true
-				break
-			}
-		}
-	}
-	// Events outside the observable set can never change a primary output,
-	// so compact every fan-out list, in place, to its observable gates:
-	// detect then schedules whole lists without a per-edge check.
-	kept := int32(0)
-	for gi := 0; gi < ng; gi++ {
-		start, end := t.fanoutOff[gi], t.fanoutOff[gi+1]
-		t.fanoutOff[gi] = kept
-		for _, fo := range t.fanoutList[start:end] {
-			if t.observable[fo] {
-				t.fanoutList[kept] = fo
-				kept++
-			}
-		}
-	}
-	t.fanoutOff[ng] = kept
-	t.fanoutList = t.fanoutList[:kept]
 	return t, nil
 }
 

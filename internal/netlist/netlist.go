@@ -185,10 +185,10 @@ type Gate struct {
 // Netlist is a combinational circuit. Gates are stored in input order
 // followed by declaration order; Levelize sorts them topologically.
 //
-// The derived structures (topological order, fan-out lists, levels) are
-// computed lazily under a mutex, so read-only consumers — the ATPG tables
-// and the fault simulator's topology — may levelize the same netlist from
-// concurrent goroutines. Building the netlist (AddInput/AddGate/MarkOutput)
+// The derived structures (topological order, fan-out lists, levels,
+// output reachability) are computed lazily under a mutex, so read-only
+// consumers — the ATPG tables and the fault simulator's topology — may
+// levelize the same netlist from concurrent goroutines. Building the netlist (AddInput/AddGate/MarkOutput)
 // is not concurrency-safe and invalidates the caches.
 type Netlist struct {
 	Gates   []Gate
@@ -196,11 +196,12 @@ type Netlist struct {
 	Outputs []int // gate indices of primary outputs
 	byName  map[string]int
 
-	mu        sync.Mutex
-	order     []int   // guarded by mu; topological order (gate indices), nil until Levelize
-	fanouts   [][]int // guarded by mu; per-gate fan-out lists, nil until Fanouts
-	levels    []int   // guarded by mu; per-gate longest path from an input, nil until Levels
-	numLevels int     // guarded by mu
+	mu         sync.Mutex
+	order      []int   // guarded by mu; topological order (gate indices), nil until Levelize
+	fanouts    [][]int // guarded by mu; per-gate fan-out lists, nil until Fanouts
+	levels     []int   // guarded by mu; per-gate longest path from an input, nil until Levels
+	numLevels  int     // guarded by mu
+	observable []bool  // guarded by mu; per-gate output reachability, nil until Observable
 }
 
 // New returns an empty netlist.
@@ -233,6 +234,7 @@ func (n *Netlist) invalidate() {
 	n.fanouts = nil
 	n.levels = nil
 	n.numLevels = 0
+	n.observable = nil
 	n.mu.Unlock()
 }
 
@@ -411,6 +413,40 @@ func (n *Netlist) Levels() ([]int, int, error) {
 		n.numLevels = numLevels
 	}
 	return n.levels, n.numLevels, nil
+}
+
+// Observable returns the (cached) per-gate output reachability:
+// Observable()[gi] is true iff gi is a primary output or drives one
+// through some path of gates. A value change on an unobservable gate can
+// never reach an output, which is what lets the fault simulator and PODEM
+// skip such gates. The slice is shared and must be treated as read-only.
+func (n *Netlist) Observable() []bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.observable == nil {
+		// Backward search from the outputs over fan-in edges: needs no
+		// levelization, so it is total even on a looping netlist.
+		obs := make([]bool, len(n.Gates))
+		stack := make([]int, 0, len(n.Outputs))
+		for _, o := range n.Outputs {
+			if !obs[o] {
+				obs[o] = true
+				stack = append(stack, o)
+			}
+		}
+		for len(stack) > 0 {
+			gi := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, f := range n.Gates[gi].Fanin {
+				if !obs[f] {
+					obs[f] = true
+					stack = append(stack, f)
+				}
+			}
+		}
+		n.observable = obs
+	}
+	return n.observable
 }
 
 // Eval computes all primary outputs for a full input assignment, indexed

@@ -209,3 +209,35 @@ func TestLevelizeDetectsLoop(t *testing.T) {
 		t.Error("combinational loop not detected")
 	}
 }
+
+// TestObservable checks output reachability on the full adder plus a dead
+// branch, and that a later MarkOutput invalidates the cached answer.
+func TestObservable(t *testing.T) {
+	n := buildFullAdder(t)
+	if _, err := n.AddGate("dead", Not, "ab"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AddGate("dead2", And, "dead", "cin"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"a": true, "b": true, "cin": true, "axb": true, "sum": true,
+		"ab": true, "c_axb": true, "cout": true, "dead": false, "dead2": false,
+	}
+	check := func() {
+		t.Helper()
+		obs := n.Observable()
+		for name, w := range want {
+			gi, _ := n.Index(name)
+			if obs[gi] != w {
+				t.Errorf("Observable[%s] = %v, want %v", name, obs[gi], w)
+			}
+		}
+	}
+	check()
+	if err := n.MarkOutput("dead2"); err != nil {
+		t.Fatal(err)
+	}
+	want["dead"], want["dead2"] = true, true
+	check()
+}
