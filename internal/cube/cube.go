@@ -11,6 +11,7 @@ package cube
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/gf2"
@@ -104,6 +105,25 @@ func (c Cube) Matches(v gf2.Vec) bool {
 		}
 	}
 	return true
+}
+
+// MatchesLanes is Matches for up to 64 vectors at once, bit-sliced: word p
+// of plane holds position p of every vector, bit s being vector s. It
+// returns the lanes of mask whose vector agrees with every specified
+// position, stopping as soon as none is left.
+func (c Cube) MatchesLanes(plane []uint64, mask uint64) uint64 {
+	vw := c.Value.Words()
+	for i, care := range c.Mask.Words() {
+		for ; care != 0 && mask != 0; care &= care - 1 {
+			b := bits.TrailingZeros64(care)
+			if vw[i]>>b&1 != 0 {
+				mask &= plane[i*64+b]
+			} else {
+				mask &^= plane[i*64+b]
+			}
+		}
+	}
+	return mask
 }
 
 // CompatibleWith reports whether two cubes of equal width can be merged:

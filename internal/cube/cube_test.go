@@ -87,6 +87,44 @@ func TestCompatibleAndMerge(t *testing.T) {
 	a.Merge(c)
 }
 
+// TestMatchesLanes holds the bit-sliced match to Matches, lane by lane, on
+// a width spanning two words and cubes of every density.
+func TestMatchesLanes(t *testing.T) {
+	src := prng.New(7)
+	const w = 100
+	plane := make([]uint64, w)
+	vecs := make([]gf2.Vec, 64)
+	for s := range vecs {
+		vecs[s] = gf2.NewVec(w)
+	}
+	for trial := 0; trial < 200; trial++ {
+		c := New(w)
+		for i := 0; i < w; i++ {
+			if src.Intn(1+trial%20) == 0 {
+				c.Set(i, src.Bit())
+			}
+		}
+		for p := range plane {
+			plane[p] = 0
+			for s, v := range vecs {
+				b := src.Bit()
+				if s%3 == 0 && c.Get(p) >= 0 {
+					b = uint8(c.Get(p)) // every third lane matches
+				}
+				v.SetBit(p, b)
+				plane[p] |= uint64(b) << s
+			}
+		}
+		mask := src.Uint64()
+		got := c.MatchesLanes(plane, mask)
+		for s, v := range vecs {
+			if want := mask>>s&1 == 1 && c.Matches(v); (got>>s&1 == 1) != want {
+				t.Fatalf("trial %d lane %d: MatchesLanes %v, Matches %v", trial, s, got>>s&1 == 1, want)
+			}
+		}
+	}
+}
+
 func TestMergePreservesMatches(t *testing.T) {
 	// Any vector matching the merge matches both parents and vice versa.
 	f := func(seed uint64) bool {

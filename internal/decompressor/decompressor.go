@@ -26,6 +26,7 @@ package decompressor
 import (
 	"fmt"
 
+	"repro/internal/encoder"
 	"repro/internal/gf2"
 	"repro/internal/hwcost"
 	"repro/internal/stateskip"
@@ -68,23 +69,24 @@ type Result struct {
 
 // Run executes the full test session: for every seed in group order it
 // generates segments until the Useful Segment Counter hits zero, switching
-// between Normal and State Skip mode per the Mode Select table.
+// between Normal and State Skip mode per the Mode Select table. It clocks
+// the encoder's decompressor kernel with one lane; the scan cells keep
+// their contents across vectors and seeds, so a partial garbage vector
+// carries whatever its chains held before.
 func (s *Schedule) Run() (*Result, error) {
 	red := s.Red
 	enc := red.Enc
-	geo, l, ps := enc.Cfg.Tables.Geo(), enc.Cfg.Tables.LFSR(), enc.Cfg.Tables.PS()
+	geo := enc.Cfg.Tables.Geo()
 	k := red.Opt.Speedup
-	skip := l.SkipMatrix(uint64(k))
+	kn := encoder.NewKernel(enc.Cfg.Tables.LFSR(), enc.Cfg.Tables.PS(), geo)
+	kn.SetSpeedup(k)
+	cells := make([]uint64, geo.Width) // the scan chains, lane 0
 	res := &Result{}
-
-	state := gf2.NewVec(l.Size())
-	next := gf2.NewVec(l.Size())
-	cur := gf2.NewVec(geo.Width)
 	lastMode := -1
 
 	for _, si := range s.SeedOrder {
 		// Seed load from the ATE.
-		state.CopyFrom(enc.Seeds[si].Value)
+		kn.Load(enc.Seeds[si : si+1])
 		res.SeedsLoaded++
 		usefulLeft := red.UsefulCount(si)
 		if usefulLeft == 0 {
@@ -104,45 +106,32 @@ func (s *Schedule) Run() (*Result, error) {
 			}
 			bit := 0 // Bit Counter, reset at each mode switch
 			shift := func() {
-				cyc := bit % geo.Length
-				for ch := 0; ch < geo.Chains; ch++ {
-					pos := geo.CellAtCycle(ch, cyc)
-					if pos < 0 {
-						continue
-					}
-					var b uint8
-					for _, c := range ps.Taps(ch) {
-						b ^= state.Bit(c)
-					}
-					cur.SetBit(pos, b)
-				}
+				kn.Shift(cells, bit%geo.Length)
 				bit++
 				res.Clocks++
 				if bit%geo.Length == 0 {
-					res.Vectors = append(res.Vectors, cur.Clone())
+					res.Vectors = append(res.Vectors, encoder.LaneVec(cells, 0))
 				}
 			}
 			if run.Useful {
 				for c := 0; c < run.States; c++ {
 					shift()
-					l.StepInto(next, state)
-					state, next = next, state
+					kn.Step()
 				}
 				usefulLeft -= run.LastSeg - run.FirstSeg + 1
 			} else {
 				for c := 0; c < run.States/k; c++ {
 					shift()
 					res.SkipClocks++
-					state = skip.MulVec(state)
+					kn.Skip()
 				}
 				for c := 0; c < run.States%k; c++ {
 					shift()
-					l.StepInto(next, state)
-					state, next = next, state
+					kn.Step()
 				}
 				if bit%geo.Length != 0 {
 					// Capture the partial garbage vector before the mode switch.
-					res.Vectors = append(res.Vectors, cur.Clone())
+					res.Vectors = append(res.Vectors, encoder.LaneVec(cells, 0))
 				}
 			}
 		}

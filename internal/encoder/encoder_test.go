@@ -69,24 +69,37 @@ func TestTableMatchesGeneration(t *testing.T) {
 }
 
 // checkTableMatchesGeneration compares every expression of table with the
-// concrete window of its own decompressor for random seeds.
+// concrete window of its own decompressor for random seeds, as generated
+// both by the bit-serial oracle and by the bit-sliced kernel (all seeds in
+// one pass, one lane each).
 func checkTableMatchesGeneration(t *testing.T, table *Tables) {
 	t.Helper()
 	src := prng.New(99)
 	n := table.LFSR().Size()
 	L, width := table.WindowLen(), table.Geo().Width
-	for trial := 0; trial < 10; trial++ {
+	seeds := make([]Seed, 10)
+	for trial := range seeds {
 		seed := gf2.NewVec(n)
 		for i := 0; i < n; i++ {
 			seed.SetBit(i, src.Bit())
 		}
-		window := GenerateWindow(table.LFSR(), table.PS(), table.Geo(), seed, L)
+		seeds[trial].Value = seed
+	}
+	kn := NewKernel(table.LFSR(), table.PS(), table.Geo())
+	kn.Load(seeds)
+	planes := make([]uint64, L*width)
+	kn.Window(planes, L)
+	for trial, s := range seeds {
+		window := generateWindow(table.LFSR(), table.PS(), table.Geo(), s.Value, L)
 		for v := 0; v < L; v++ {
 			for pos := 0; pos < width; pos++ {
 				want := window[v].Bit(pos)
-				got := table.Expr(v, pos).Dot(seed)
+				got := table.Expr(v, pos).Dot(s.Value)
 				if got != want {
 					t.Fatalf("trial %d: vector %d pos %d: table says %d, generator says %d", trial, v, pos, got, want)
+				}
+				if k := uint8(planes[v*width+pos] >> trial & 1); k != want {
+					t.Fatalf("trial %d: vector %d pos %d: kernel says %d, generator says %d", trial, v, pos, k, want)
 				}
 			}
 		}

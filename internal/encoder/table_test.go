@@ -100,27 +100,3 @@ func TestEquationsMatchCubeBits(t *testing.T) {
 		i++
 	}
 }
-
-func TestGenerateWindowIntoReuse(t *testing.T) {
-	cfg := smallConfig(t, 16, 50, 4, 5)
-	src := prng.New(12)
-	seed := gf2.NewVec(16)
-	for i := 0; i < 16; i++ {
-		seed.SetBit(i, src.Bit())
-	}
-	fresh := GenerateWindow(cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
-	reused := make([]gf2.Vec, 5)
-	GenerateWindowInto(reused, cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
-	// Fill the buffers with garbage and regenerate: must equal fresh.
-	for _, v := range reused {
-		for i := 0; i < v.Len(); i++ {
-			v.SetBit(i, 1)
-		}
-	}
-	GenerateWindowInto(reused, cfg.Tables.LFSR(), cfg.Tables.PS(), cfg.Tables.Geo(), seed, 5)
-	for i := range fresh {
-		if !fresh[i].Equal(reused[i]) {
-			t.Fatalf("vector %d differs after buffer reuse", i)
-		}
-	}
-}

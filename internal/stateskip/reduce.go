@@ -15,13 +15,13 @@ package stateskip
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/encoder"
-	"repro/internal/gf2"
 )
 
 // Options configures a reduction.
@@ -90,56 +90,62 @@ type VecEmbeddings struct {
 	PerCube [][]VecRef
 }
 
-// ScanEmbeddingsWorkers regenerates every window and records, for every
-// cube, all vectors that embed it. The scan parallelises over seeds,
+// ScanEmbeddingsWorkers regenerates every window on the bit-sliced
+// decompressor kernel, 64 seeds per pass, and records, for every cube, all
+// vectors that embed it. The scan parallelises over those 64-seed groups,
 // bounded by workers (0 = GOMAXPROCS) for callers that already run several
-// scans concurrently.
+// scans concurrently. Results are group-addressed, hence identical for any
+// worker count.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
-	nCubes := enc.Set.Len()
-	perSeed := make([][][]int, len(enc.Seeds)) // [seed][cube] = vector indices
+	t := enc.Cfg.Tables
+	L, w := t.WindowLen(), t.Geo().Width
+	groups := (len(enc.Seeds) + 63) / 64
+	perGroup := make([][][]VecRef, groups) // [group][cube], in (seed, vector) order
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(enc.Seeds) {
-		workers = len(enc.Seeds)
-	}
+	workers = min(workers, groups)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One persistent window buffer per worker: the scan regenerates
-			// every seed's full window, so buffer reuse removes L vector
-			// allocations per seed. Results are index-addressed, hence
-			// identical for any worker count.
-			t := enc.Cfg.Tables
-			window := make([]gf2.Vec, t.WindowLen())
+			kn := encoder.NewKernel(t.LFSR(), t.PS(), t.Geo())
+			planes := make([]uint64, L*w)
+			var byLane [64][]int // one cube's matching vectors per lane
 			for {
-				si := int(next.Add(1)) - 1
-				if si >= len(enc.Seeds) {
+				g := int(next.Add(1)) - 1
+				if g >= groups {
 					return
 				}
-				encoder.GenerateWindowInto(window, t.LFSR(), t.PS(), t.Geo(), enc.Seeds[si].Value, t.WindowLen())
-				found := make([][]int, nCubes)
-				for v, vec := range window {
-					for ci := 0; ci < nCubes; ci++ {
-						if enc.Set.Cubes[ci].Matches(vec) {
-							found[ci] = append(found[ci], v)
+				lo := g * 64
+				kn.Load(enc.Seeds[lo:min(lo+64, len(enc.Seeds))])
+				kn.Window(planes, L)
+				found := make([][]VecRef, len(enc.Set.Cubes))
+				for ci, c := range enc.Set.Cubes {
+					for v := 0; v < L; v++ {
+						for m := c.MatchesLanes(planes[v*w:(v+1)*w], kn.Lanes()); m != 0; m &= m - 1 {
+							s := bits.TrailingZeros64(m)
+							byLane[s] = append(byLane[s], v)
 						}
 					}
+					for s, vecs := range byLane {
+						for _, v := range vecs {
+							found[ci] = append(found[ci], VecRef{Seed: lo + s, Vec: v})
+						}
+						byLane[s] = vecs[:0]
+					}
 				}
-				perSeed[si] = found
+				perGroup[g] = found
 			}
 		}()
 	}
 	wg.Wait()
-	idx := &VecEmbeddings{PerCube: make([][]VecRef, nCubes)}
-	for si := range perSeed {
-		for ci, vecs := range perSeed[si] {
-			for _, v := range vecs {
-				idx.PerCube[ci] = append(idx.PerCube[ci], VecRef{Seed: si, Vec: v})
-			}
+	idx := &VecEmbeddings{PerCube: make([][]VecRef, len(enc.Set.Cubes))}
+	for _, found := range perGroup {
+		for ci, refs := range found {
+			idx.PerCube[ci] = append(idx.PerCube[ci], refs...)
 		}
 	}
 	return idx
@@ -473,82 +479,4 @@ func (r *Reduction) Verify() error {
 		}
 	}
 	return nil
-}
-
-// AppliedVectors regenerates, for verification, the exact vector stream the
-// shortened schedule applies: for every seed in group order, the vectors of
-// segments up to the last useful one, with useless segments reduced to the
-// vectors their skip-mode clocks still shift in. The stream is what the
-// decompressor simulator must reproduce bit-for-bit.
-func (r *Reduction) AppliedVectors() []gf2.Vec {
-	var out []gf2.Vec
-	for _, si := range r.GroupOrder {
-		out = append(out, r.seedApplied(si)...)
-	}
-	return out
-}
-
-// seedApplied simulates one seed's shortened window at clock accuracy.
-func (r *Reduction) seedApplied(seed int) []gf2.Vec {
-	enc := r.Enc
-	geo, l, ps := enc.Cfg.Tables.Geo(), enc.Cfg.Tables.LFSR(), enc.Cfg.Tables.PS()
-	k := r.Opt.Speedup
-	skip := l.SkipMatrix(uint64(k))
-
-	state := enc.Seeds[seed].Value.Clone()
-	next := gf2.NewVec(l.Size())
-	var vecs []gf2.Vec
-	cur := gf2.NewVec(geo.Width)
-	fill := 0 // Bit Counter: shift clocks since the last segment boundary
-
-	shiftClock := func() {
-		cyc := fill % geo.Length
-		for ch := 0; ch < geo.Chains; ch++ {
-			pos := geo.CellAtCycle(ch, cyc)
-			if pos < 0 {
-				continue
-			}
-			var b uint8
-			for _, c := range ps.Taps(ch) {
-				b ^= state.Bit(c)
-			}
-			cur.SetBit(pos, b)
-		}
-		fill++
-		if fill%geo.Length == 0 {
-			vecs = append(vecs, cur.Clone())
-		}
-	}
-
-	for _, run := range r.Runs(seed) {
-		// The Bit Counter restarts at each mode switch so useful runs are
-		// framed exactly like the original window. Any partial garbage
-		// vector left by a useless run is captured once before the reset
-		// (the hardware's capture-on-mode-switch).
-		if fill%geo.Length != 0 {
-			vecs = append(vecs, cur.Clone())
-		}
-		fill = 0
-		if run.Useful {
-			for c := 0; c < run.States; c++ {
-				shiftClock()
-				l.StepInto(next, state)
-				state, next = next, state
-			}
-		} else {
-			for c := 0; c < run.States/k; c++ {
-				shiftClock()
-				state = skip.MulVec(state)
-			}
-			for c := 0; c < run.States%k; c++ {
-				shiftClock()
-				l.StepInto(next, state)
-				state, next = next, state
-			}
-		}
-	}
-	if fill%geo.Length != 0 {
-		vecs = append(vecs, cur.Clone())
-	}
-	return vecs
 }

@@ -74,9 +74,9 @@ func TestEveryCubeAppliedInShortenedSequence(t *testing.T) {
 			if err := red.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			applied := red.AppliedVectors()
+			applied := red.appliedVectors()
 			if len(applied) != red.TSL() {
-				t.Errorf("AppliedVectors length %d != TSL %d", len(applied), red.TSL())
+				t.Errorf("applied stream length %d != TSL %d", len(applied), red.TSL())
 			}
 			for ci, c := range enc.Set.Cubes {
 				found := false
@@ -214,7 +214,7 @@ func TestSegmentAccounting(t *testing.T) {
 	rlen := enc.Cfg.Tables.Geo().Length
 	for si := range red.Useful {
 		// Per-seed TSL must equal the simulated applied stream length.
-		if got, want := len(red.seedApplied(si)), red.SeedTSL(si); got != want {
+		if got, want := len(red.seedApplied(newSerial(enc.Cfg.Tables), si)), red.SeedTSL(si); got != want {
 			t.Errorf("seed %d: simulated %d vectors, accounted %d", si, got, want)
 		}
 		// Runs partition the window up to the last useful segment, useful
@@ -289,7 +289,7 @@ func TestNaiveSelectionAblation(t *testing.T) {
 	if smart.TSL() > naive.TSL() {
 		t.Errorf("smart TSL %d worse than naive %d", smart.TSL(), naive.TSL())
 	}
-	applied := naive.AppliedVectors()
+	applied := naive.appliedVectors()
 	for ci, c := range enc.Set.Cubes {
 		found := false
 		for _, v := range applied {
