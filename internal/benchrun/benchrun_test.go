@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,10 +169,9 @@ func TestDiffInjectedRegression(t *testing.T) {
 		}
 	}
 
-	// A missing cell is a regression.
+	// A cell missing from the same grid is a regression.
 	shrunk := *snap
 	shrunk.ATPG = snap.ATPG[1:]
-	shrunk.Grid.Circuits = shrunk.Grid.Circuits[:1] // keep Validate out of it; Diff does not validate
 	regs, err = Diff(snap, &shrunk, Tolerance{})
 	if err != nil {
 		t.Fatalf("Diff: %v", err)
@@ -190,6 +190,50 @@ func TestDiffInjectedRegression(t *testing.T) {
 	}
 	if regs, err = Diff(snap, &slow, Tolerance{}); err != nil || len(regs) != 0 {
 		t.Fatalf("Diff(wall off) = %v, %v; want clean", regs, err)
+	}
+}
+
+// TestDiffGridMismatch pins that a new snapshot whose grid lacks a value
+// of one of the old grid's axes is refused as not comparable, naming the
+// axis, instead of reporting every cell it did not run as a regression;
+// a grown grid still diffs, with its extra cells ignored.
+func TestDiffGridMismatch(t *testing.T) {
+	_, snap := runTestGrid(t)
+	for _, tc := range []struct {
+		mutate func(g *Grid)
+		axis   string
+	}{
+		{func(g *Grid) { g.Circuits = g.Circuits[:1] }, "circuits"},
+		{func(g *Grid) { g.WindowLengths = g.WindowLengths[1:] }, "window_lengths"},
+		{func(g *Grid) { g.Backtraces = []string{"multi"} }, "backtraces"},
+		{func(g *Grid) { g.Workers = []int{0} }, "workers"},
+		{func(g *Grid) { g.LaneWords = []int{8} }, "lane_words [1] vs [8]"},
+		{func(g *Grid) { g.Repeats = 0 }, "repeats 1 vs 0"},
+		{func(g *Grid) { g.ATPG.Gates++ }, "atpg"},
+	} {
+		other := *snap
+		other.Grid.Circuits = slices.Clone(snap.Grid.Circuits)
+		other.Grid.WindowLengths = slices.Clone(snap.Grid.WindowLengths)
+		tc.mutate(&other.Grid)
+		_, err := Diff(snap, &other, Tolerance{})
+		if err == nil || !strings.Contains(err.Error(), "grid "+tc.axis) || !strings.Contains(err.Error(), "not comparable") {
+			t.Errorf("%s shrunk: Diff error %v, want a not-comparable error naming %q", tc.axis, err, tc.axis)
+		}
+	}
+
+	grown := *snap
+	grown.Grid.LaneWords = []int{1, 8}
+	grown.Grid.Repeats = 2
+	grown.Sessions = slices.Clone(snap.Sessions)
+	grown.Sessions[0].Hits++ // a bigger sweep hits the caches more often
+	regs, err := Diff(snap, &grown, Tolerance{})
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("grown grid: Diff = %v, %v; want clean", regs, err)
+	}
+	grown.Encode = slices.Clone(snap.Encode)
+	grown.Encode[0].Checks++
+	if regs, err := Diff(snap, &grown, Tolerance{}); err != nil || len(regs) != 1 {
+		t.Fatalf("grown grid with a changed counter: Diff = %v, %v; want one regression", regs, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package benchrun
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -54,8 +55,11 @@ func (r Regression) String() string {
 // every regression: a deterministic counter that changed at all, a
 // wall-clock metric that slowed past the tolerance, or a reference cell
 // missing from the new snapshot. Cells present only in the new snapshot
-// (a grown grid) are not regressions. An error is returned when the
-// snapshots are not comparable at all (schema or scale mismatch).
+// (a grown grid) are not regressions, but the session counters of a grown
+// grid count a different sweep and are skipped. An error is returned when
+// the snapshots are not comparable at all: a schema or scale mismatch, or
+// a new grid that lacks a value of one of the old grid's axes (a run that
+// fell back to another grid would otherwise read as regressions).
 func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 	if old.SchemaVersion != new.SchemaVersion {
 		return nil, fmt.Errorf("benchrun: schema_version %d vs %d: not comparable", old.SchemaVersion, new.SchemaVersion)
@@ -63,6 +67,10 @@ func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 	if old.Scale != new.Scale {
 		return nil, fmt.Errorf("benchrun: scale %q vs %q: not comparable", old.Scale, new.Scale)
 	}
+	if axis := gridShrunk(old.Grid, new.Grid); axis != "" {
+		return nil, fmt.Errorf("benchrun: grid %s: not comparable", axis)
+	}
+	sameGrid := gridShrunk(new.Grid, old.Grid) == ""
 	var regs []Regression
 	exact := func(key, metric string, o, n float64) {
 		if o != n {
@@ -122,9 +130,10 @@ func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 			regs = append(regs, Regression{Key: o.Key(), Metric: "cell", Old: 1, New: 0, Exact: true})
 			continue
 		}
-		if o.Tables != n.Tables {
-			// The table sweep moved to a different session; its request
-			// counters are incomparable, so skip this cell.
+		if o.Tables != n.Tables || !sameGrid {
+			// The table sweep moved to a different session, or the
+			// session served a different grid; its request counters are
+			// incomparable, so skip this cell.
 			continue
 		}
 		exact(o.Key(), "set_builds", float64(o.SetBuilds), float64(n.SetBuilds))
@@ -141,6 +150,40 @@ func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 
 	wall("run", "total_wall_ns", old.TotalWallNS, new.TotalWallNS)
 	return regs, nil
+}
+
+// gridShrunk names the first axis of old that new does not cover — a value
+// of old's circuits, window lengths, backtraces, workers or lane words
+// missing from new, fewer repeats, or a different ATPG core — rendered as
+// "axis old vs new"; "" when new covers old.
+func gridShrunk(old, new Grid) string {
+	switch {
+	case lacks(old.Circuits, new.Circuits):
+		return fmt.Sprintf("circuits %v vs %v", old.Circuits, new.Circuits)
+	case lacks(old.WindowLengths, new.WindowLengths):
+		return fmt.Sprintf("window_lengths %v vs %v", old.WindowLengths, new.WindowLengths)
+	case lacks(old.Backtraces, new.Backtraces):
+		return fmt.Sprintf("backtraces %v vs %v", old.Backtraces, new.Backtraces)
+	case lacks(old.Workers, new.Workers):
+		return fmt.Sprintf("workers %v vs %v", old.Workers, new.Workers)
+	case lacks(old.LaneWords, new.LaneWords):
+		return fmt.Sprintf("lane_words %v vs %v", old.LaneWords, new.LaneWords)
+	case new.Repeats < old.Repeats:
+		return fmt.Sprintf("repeats %d vs %d", old.Repeats, new.Repeats)
+	case old.ATPG != new.ATPG:
+		return fmt.Sprintf("atpg %+v vs %+v", old.ATPG, new.ATPG)
+	}
+	return ""
+}
+
+// lacks reports whether some value of old is missing from new.
+func lacks[T comparable](old, new []T) bool {
+	for _, v := range old {
+		if !slices.Contains(new, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // DiffReport renders regressions as a human-readable block, one line per

@@ -112,14 +112,11 @@ type candidate struct {
 	rankInc int
 }
 
-// scanView is one worker's private probe state: a lazily reduced copy of
-// the expression table (see gf2.ReducedTable) plus elimination scratch.
-// Views persist across tiers and seeds, so a (cube, position) re-probed
-// after a commit only folds in the basis rows added since the last probe
-// instead of re-eliminating against the whole basis. tick amortizes the
-// worker's context polls across checkStride consistency checks.
+// scanView is one worker's private probe state: the overlay scratch of
+// the shared reducer (used while a seed has 64 or more free variables)
+// and a tick that amortizes the worker's context polls across checkStride
+// consistency checks.
 type scanView struct {
-	view    *gf2.ReducedTable
 	scratch gf2.CheckScratch
 	tick    int
 }
@@ -166,7 +163,17 @@ type encodeState struct {
 	feasible [][]bool
 
 	solver *gf2.Solver
-	views  []*scanView
+	// red tabulates the solver's basis for every scan worker; it is
+	// reloaded after each basis change, before the scan fans out.
+	red *gf2.Reducer
+	// full is set once the seed's basis reaches rank n. The seed is then
+	// unique and win holds the value of every expression row under it,
+	// one bit per row, so each verdict compares a cube's care bits with
+	// window bits instead of eliminating.
+	full  bool
+	win   []uint64
+	views []scanView
+
 	eqBuf  []gf2.Equation
 	checks int64
 
@@ -176,6 +183,28 @@ type encodeState struct {
 }
 
 func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, sys *systemIndex) (*Encoding, error) {
+	st := newEncodeState(ctx, cfg, set, sys)
+	enc := &Encoding{Cfg: cfg, Set: set}
+	fill := prng.New(cfg.FillSeed)
+	for st.nRemain > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
+				len(enc.Seeds), set.Len()-st.nRemain, set.Len(), err)
+		}
+		seed, err := st.buildSeed(fill)
+		if err != nil {
+			return nil, err
+		}
+		enc.Seeds = append(enc.Seeds, seed)
+	}
+	enc.ChecksPerformed = st.checks
+	return enc, nil
+}
+
+// newEncodeState prepares the greedy encoder's state for one cube set:
+// the cube order, the empty solver and the scan's shared reducer, window
+// bits and per-worker views.
+func newEncodeState(ctx context.Context, cfg Config, set *cube.Set, sys *systemIndex) *encodeState {
 	table := cfg.Tables
 	st := &encodeState{
 		ctx:     ctx,
@@ -208,32 +237,45 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, sys *system
 		st.feasible[i] = make([]bool, st.L)
 	}
 	st.solver = gf2.NewSolver(st.n)
-	st.views = make([]*scanView, st.workers)
-
-	enc := &Encoding{Cfg: cfg, Set: set}
-	fill := prng.New(cfg.FillSeed)
-	for st.nRemain > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
-				len(enc.Seeds), set.Len()-st.nRemain, set.Len(), err)
-		}
-		seed, err := st.buildSeed(fill)
-		if err != nil {
-			return nil, err
-		}
-		enc.Seeds = append(enc.Seeds, seed)
-	}
-	enc.ChecksPerformed = st.checks
-	return enc, nil
+	rows := table.Rows()
+	st.red = gf2.NewReducer(rows)
+	st.win = make([]uint64, (rows.Count()+63)/64)
+	st.views = make([]scanView, st.workers)
+	return st
 }
 
-// viewFor lazily creates the probe state of one worker; unused workers
-// never pay for their reduced-table copy.
-func (st *encodeState) viewFor(w int) *scanView {
-	if st.views[w] == nil {
-		st.views[w] = &scanView{view: gf2.NewReducedTable(st.solver, st.table.Rows())}
+// check tests whether cube system (base+offset, rhs) is consistent with
+// the seed's basis and returns the rank increase it would cause. At full
+// rank no system can add rank, and it is consistent iff every care bit
+// equals the unique seed's window bit at that row.
+func (st *encodeState) check(v *scanView, base []int32, offset int32, rhs []uint8) (int, bool) {
+	if !st.full {
+		return st.red.CheckSystem(base, offset, rhs, &v.scratch)
 	}
-	return st.views[w]
+	rhs = rhs[:len(base)] // one bounds check for the loop
+	for k, ri := range base {
+		i := uint32(ri + offset)
+		if uint8(st.win[i/64]>>(i%64))&1 != rhs[k] {
+			return 0, false
+		}
+	}
+	return 0, true
+}
+
+// basisChanged brings the scan's view of the basis up to date after a
+// Reset or a commit: it retabulates the reducer, or, once the rank
+// reaches n, evaluates the now-unique seed over the whole table.
+func (st *encodeState) basisChanged() {
+	switch {
+	case st.full:
+		// A full-rank basis admits no further change: the seed is fixed.
+	case st.solver.Rank() == st.n:
+		st.full = true
+		seed := st.solver.Solution(func(int) uint8 { return 0 })
+		st.table.Rows().Eval(seed, st.win)
+	default:
+		st.red.Load(st.solver)
+	}
 }
 
 // buildSeed constructs one seed: it commits the densest remaining cube at
@@ -241,6 +283,8 @@ func (st *encodeState) viewFor(w int) *scanView {
 // per the paper's criteria until nothing else fits.
 func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	st.solver.Reset()
+	st.full = false
+	st.basisChanged()
 	for _, ci := range st.order {
 		if st.remaining[ci] {
 			for p := range st.feasible[ci] {
@@ -250,7 +294,7 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	}
 
 	var seed Seed
-	v0 := st.viewFor(0)
+	v0 := &st.views[0]
 
 	// First cube: densest remaining, at the first solvable position
 	// (position 0 in the common case the paper assumes).
@@ -267,7 +311,7 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 			return Seed{}, fmt.Errorf("encoder: encode stopped scanning cube %d: %w", first, st.ctx.Err())
 		}
 		st.checks++
-		if _, ok := v0.view.CheckSystem(st.sys.base[first], int32(p)*st.stride, st.sys.rhs[first], &v0.scratch); ok {
+		if _, ok := st.check(v0, st.sys.base[first], int32(p)*st.stride, st.sys.rhs[first]); ok {
 			firstPos = p
 			break
 		}
@@ -297,6 +341,7 @@ func (st *encodeState) commit(ci, pos int, seed *Seed) {
 	if _, ok := st.solver.AddSystem(st.eqBuf); !ok {
 		panic("encoder: committing a system that was just verified solvable")
 	}
+	st.basisChanged()
 	seed.Assignments = append(seed.Assignments, Assignment{Cube: ci, Pos: pos})
 	st.remaining[ci] = false
 	st.nRemain--
@@ -335,8 +380,8 @@ func (st *encodeState) scanTiers() (candidate, bool, error) {
 	return candidate{}, false, nil
 }
 
-// scanCube probes every still-feasible position of one cube through a
-// worker's reduced view. Positions proven unsolvable are pruned for the
+// scanCube probes every still-feasible position of one cube with a
+// worker's scratch. Positions proven unsolvable are pruned for the
 // rest of this seed's construction (constraints only grow, so unsolvable
 // stays unsolvable).
 func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
@@ -351,7 +396,7 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 			return local // cancelled: the caller discards this tier's scan
 		}
 		local++
-		inc, ok := v.view.CheckSystem(base, int32(p)*st.stride, rhs, &v.scratch)
+		inc, ok := st.check(v, base, int32(p)*st.stride, rhs)
 		if !ok {
 			feas[p] = false
 			continue
@@ -362,10 +407,11 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 }
 
 // scanTier checks every still-feasible (cube, position) pair of one tier,
-// fanned out over the persistent worker views. The basis is immutable for
-// the whole scan, each view and each cube's feasibility row is owned by
-// exactly one goroutine at a time, and results are index-addressed — so the
-// tie-breaks below see the same candidate set for any worker count.
+// fanned out over the workers. The basis, the reducer's tables and the
+// window bits are immutable for the whole scan, each view and each cube's
+// feasibility row is owned by exactly one goroutine at a time, and results
+// are index-addressed — so the tie-breaks below see the same candidate set
+// for any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	results := make([][]candidate, len(tier))
 	var checkCount int64
@@ -374,7 +420,7 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		workers = len(tier)
 	}
 	if workers <= 1 {
-		v := st.viewFor(0)
+		v := &st.views[0]
 		for ti, ci := range tier {
 			if st.stop.Load() {
 				break
@@ -386,7 +432,7 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		for w := 0; w < workers; w++ {
-			v := st.viewFor(w)
+			v := &st.views[w]
 			wg.Add(1)
 			go func(v *scanView) {
 				defer wg.Done()

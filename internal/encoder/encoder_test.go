@@ -239,56 +239,174 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 }
 
 // TestEncodeGolden locks the exact encoder output (seed bits, assignments,
-// check counts, phase-shifter variant) to the values produced before the
-// reduced-basis engine landed, recorded from the naive per-check Gaussian
-// re-elimination implementation. Any optimisation must keep these hashes.
+// check counts, phase-shifter variant) to recorded values. The CI-scale rows
+// were recorded from the naive per-check Gaussian re-elimination
+// implementation; the paper-scale rows (embed_paper's two cells and one
+// s38417 cell on the two-word register path) from the lazily reduced
+// per-worker tables that preceded the shared Four-Russians reducer. Paper
+// rows run at Workers 1 and 2; CI rows at GOMAXPROCS. Any optimisation must
+// keep these hashes.
 func TestEncodeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	golden := []struct {
-		circuit string
-		L       int
-		seeds   int
-		variant uint64
-		checks  int64
-		sha     string
-	}{
-		{"s9234", 1, 17, 0, 422, "3bee2f1a5a219130"},
-		{"s9234", 8, 12, 0, 2241, "1debcd69beb33f9e"},
-		{"s13207", 12, 8, 0, 2655, "12117b5814d3a21f"},
-		{"s15850", 10, 10, 0, 2419, "2673aac6a4874203"},
-		{"s38417", 16, 28, 0, 18955, "6525763250d6d42c"},
-		{"s38584", 24, 10, 1, 6787, "fa5ecc7a39d98366"},
-	}
-	for _, g := range golden {
+	for _, g := range encodeGoldens {
 		g := g
-		t.Run(fmt.Sprintf("%s_L%d", g.circuit, g.L), func(t *testing.T) {
-			t.Parallel()
-			p, err := benchprofile.ByName(g.circuit, benchprofile.ScaleCI)
-			if err != nil {
-				t.Fatal(err)
+		name := fmt.Sprintf("%s_L%d", g.circuit, g.L)
+		workers := []int{0}
+		if g.scale == benchprofile.ScalePaper {
+			workers = []int{1, 2}
+		}
+		for _, w := range workers {
+			w := w
+			label := name
+			if g.scale == benchprofile.ScalePaper {
+				label = fmt.Sprintf("paper_%s_w%d", name, w)
 			}
-			set := p.Generate()
-			enc, variant, err := EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, g.L, set, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			for _, s := range enc.Seeds {
-				fmt.Fprintf(h, "%s\n", s.Value.String())
-				for _, a := range s.Assignments {
-					fmt.Fprintf(h, "%d@%d ", a.Cube, a.Pos)
-				}
-				fmt.Fprintln(h)
-			}
-			sha := hex.EncodeToString(h.Sum(nil)[:8])
-			if len(enc.Seeds) != g.seeds || variant != g.variant || enc.ChecksPerformed != g.checks || sha != g.sha {
-				t.Fatalf("golden mismatch: seeds=%d variant=%d checks=%d sha=%s, want seeds=%d variant=%d checks=%d sha=%s",
-					len(enc.Seeds), variant, enc.ChecksPerformed, sha, g.seeds, g.variant, g.checks, g.sha)
-			}
-		})
+			t.Run(label, func(t *testing.T) {
+				t.Parallel()
+				g.check(t, w)
+			})
+		}
 	}
+}
+
+// encodeGolden is one recorded EncodeAutoCtx result.
+type encodeGolden struct {
+	scale   benchprofile.Scale
+	circuit string
+	L       int
+	seeds   int
+	variant uint64
+	checks  int64
+	sha     string
+}
+
+var encodeGoldens = func() []encodeGolden {
+	ci, paper := benchprofile.ScaleCI, benchprofile.ScalePaper
+	return []encodeGolden{
+		{ci, "s9234", 1, 17, 0, 422, "3bee2f1a5a219130"},
+		{ci, "s9234", 8, 12, 0, 2241, "1debcd69beb33f9e"},
+		{ci, "s13207", 12, 8, 0, 2655, "12117b5814d3a21f"},
+		{ci, "s15850", 10, 10, 0, 2419, "2673aac6a4874203"},
+		{ci, "s38417", 16, 28, 0, 18955, "6525763250d6d42c"},
+		{ci, "s38584", 24, 10, 1, 6787, "fa5ecc7a39d98366"},
+		{paper, "s9234", 200, 183, 1, 7323806, "66d1584018a59544"},
+		{paper, "s15850", 200, 195, 0, 10769251, "e489b38a29447733"},
+		{paper, "s38417", 2, 659, 0, 799170, "5eecaac3cf473f77"},
+	}
+}()
+
+// check encodes the golden's cube set with the given worker count, asserts
+// that the result matches the record and returns it.
+func (g encodeGolden) check(t *testing.T, workers int) *Encoding {
+	t.Helper()
+	p, err := benchprofile.ByName(g.circuit, g.scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := p.Generate()
+	enc, variant, err := EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, g.L, set, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha := encodingSHA(enc)
+	if len(enc.Seeds) != g.seeds || variant != g.variant || enc.ChecksPerformed != g.checks || sha != g.sha {
+		t.Fatalf("golden mismatch: seeds=%d variant=%d checks=%d sha=%s, want seeds=%d variant=%d checks=%d sha=%s",
+			len(enc.Seeds), variant, enc.ChecksPerformed, sha, g.seeds, g.variant, g.checks, g.sha)
+	}
+	return enc
+}
+
+// TestFullRankVerdict drives a seed's basis to rank n on a CI-scale cube
+// set and asserts that the window-bit verdict the scan then uses agrees
+// with Solver.Check for every (cube, position) pair. It also pins an
+// encode whose seeds reach full rank mid-construction (so later scans ran
+// on window bits) to its golden record.
+func TestFullRankVerdict(t *testing.T) {
+	set := genSet(t, "s9234", 0)
+	cfg := smallConfig(t, 24, set.Width, 8, 8)
+	st := newEncodeState(context.Background(), cfg, set, cfg.Tables.Systems(set))
+	st.basisChanged()
+	rows := cfg.Tables.Rows()
+	src := prng.New(5)
+	hidden := gf2.NewVec(st.n)
+	for i := 0; i < st.n; i++ {
+		hidden.SetBit(i, src.Bit())
+	}
+	for st.solver.Rank() < st.n {
+		row := rows.Row(src.Intn(rows.Count()))
+		st.solver.Add(gf2.Equation{Coeffs: row, RHS: row.Dot(hidden)})
+		st.basisChanged()
+	}
+	if !st.full {
+		t.Fatal("rank n reached but the scan did not switch to window bits")
+	}
+	var sc gf2.CheckScratch
+	var eqs []gf2.Equation
+	consistent := 0
+	for ci, c := range set.Cubes {
+		for p := 0; p < st.L; p++ {
+			gotInc, gotOK := st.check(&st.views[0], st.sys.base[ci], int32(p)*st.stride, st.sys.rhs[ci])
+			eqs = cfg.Tables.Equations(c, p, eqs[:0])
+			wantInc, wantOK := st.solver.Check(eqs, &sc)
+			if gotInc != wantInc || gotOK != wantOK {
+				t.Fatalf("cube %d pos %d: window bits say (%d,%v), Check says (%d,%v)", ci, p, gotInc, gotOK, wantInc, wantOK)
+			}
+			if gotOK {
+				consistent++
+			}
+		}
+	}
+	if consistent == 0 {
+		t.Error("no (cube, position) pair fits the seed; the comparison covered rejections only")
+	}
+
+	for _, g := range encodeGoldens {
+		if g.scale != benchprofile.ScaleCI || g.circuit != "s9234" || g.L != 8 {
+			continue
+		}
+		enc := g.check(t, 1)
+		if fullRankSeeds(enc) == 0 {
+			t.Fatalf("no seed of %s L=%d reached full rank before its last commit", g.circuit, g.L)
+		}
+		return
+	}
+	t.Fatal("golden s9234 L=8 not found")
+}
+
+// fullRankSeeds replays each seed's commits and counts the seeds whose
+// basis reached rank n before their last commit, so that at least one
+// scan of theirs ran on window bits.
+func fullRankSeeds(enc *Encoding) int {
+	tabs := enc.Cfg.Tables
+	n := tabs.LFSR().Size()
+	full := 0
+	for _, s := range enc.Seeds {
+		solver := gf2.NewSolver(n)
+		for _, a := range s.Assignments[:len(s.Assignments)-1] {
+			solver.AddSystem(tabs.Equations(enc.Set.Cubes[a.Cube], a.Pos, nil))
+			if solver.Rank() == n {
+				full++
+				break
+			}
+		}
+	}
+	return full
+}
+
+// encodingSHA hashes an encoding's seed bits and assignments: the first 8
+// bytes of SHA-256, hex.
+func encodingSHA(enc *Encoding) string {
+	h := sha256.New()
+	for _, s := range enc.Seeds {
+		fmt.Fprintf(h, "%s\n", s.Value.String())
+		for _, a := range s.Assignments {
+			fmt.Fprintf(h, "%d@%d ", a.Cube, a.Pos)
+		}
+		fmt.Fprintln(h)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // TestEncodeSharedTablesIdentical runs the same encoding with the standard

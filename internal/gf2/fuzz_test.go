@@ -10,7 +10,7 @@ import (
 // plain dense Gaussian eliminator that re-reduces the entire committed
 // system from scratch on every query. No RREF maintenance, no pivot
 // indexing, no overlay, no caching — just triangular elimination in input
-// order, so any bookkeeping bug in Solver/ReducedTable diverges from it.
+// order, so any bookkeeping bug in Solver/Reducer diverges from it.
 type denseEliminator struct {
 	n         int
 	committed []Equation
@@ -68,23 +68,29 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 	return true
 }
 
-// FuzzSolver cross-checks the incremental solver and its reduced-basis
-// candidate path against the dense reference: for fuzzed row tables and
-// adversarial check/commit/reset interleavings, the consistency verdict,
-// the rank increase and the produced solution must all agree.
+// FuzzSolver cross-checks the incremental solver and its table-driven
+// candidate path (Reducer) against the dense reference: for fuzzed row
+// tables and adversarial check/commit/reset interleavings at fuzzed
+// offsets, the consistency verdict, the rank increase and the produced
+// solution must all agree.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
 	f.Add([]byte{32, 24, 250, 249, 248, 5, 0, 17, 33, 65, 129, 255, 7, 7, 7, 120, 64, 32})
 	f.Add([]byte{90, 16, 4, 4, 4, 4, 9, 9, 9, 9, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	// The word boundaries of rows and images: n = 63, 64, 65, 127, 128, 129.
+	for _, n := range []byte{63, 64, 65, 127, 128, 129} {
+		f.Add([]byte{n - 1, 20, n, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 11 {
 			return
 		}
-		// n spans both register classes the encoder specialises for:
-		// single-word (n ≤ 64) and two-word (65–96) rows.
-		n := 1 + int(data[0])%96
-		count := 1 + int(data[1])%24
+		// n spans one-, two- and three-word rows; with up to 160 table
+		// rows the rank can fall below 64 free columns at any width, so
+		// the reducer runs both its one-word and its generic path.
+		n := 1 + int(data[0])%130
+		count := 1 + int(data[1])%160
 		var seed uint64
 		for _, b := range data[2:10] {
 			seed = seed<<8 | uint64(b)
@@ -106,7 +112,8 @@ func FuzzSolver(f *testing.F) {
 		}
 
 		s := NewSolver(n)
-		rt := NewReducedTable(s, rs)
+		rd := NewReducer(rs)
+		rd.Load(s)
 		ref := &denseEliminator{n: n}
 		var scN, scR CheckScratch
 
@@ -120,34 +127,40 @@ func FuzzSolver(f *testing.F) {
 			return b
 		}
 		steps := 4 + len(ops)
-		if steps > 80 {
-			steps = 80
+		if steps > 160 {
+			steps = 160
 		}
 		for step := 0; step < steps; step++ {
 			op := next()
 			if op%16 == 0 {
 				s.Reset()
+				rd.Load(s)
 				ref.committed = ref.committed[:0]
 				continue
 			}
-			// Pick a subsystem by row index; duplicates are allowed and must
-			// be handled identically by every engine.
+			// Pick a subsystem by row index past a fuzzed offset;
+			// duplicates are allowed and must be handled identically by
+			// every engine.
 			k := 1 + int(next())%6
+			off := int(next()) % count
 			idx := make([]int32, k)
 			rhs := make([]uint8, k)
 			sys := make([]Equation, k)
 			for i := 0; i < k; i++ {
-				ri := int(next()) % count
-				idx[i] = int32(ri)
-				rhs[i] = eqs[ri].RHS
-				sys[i] = eqs[ri]
+				b := next()
+				ri := off + int(b)%(count-off)
+				idx[i] = int32(ri - off)
+				// The top bit of the row byte flips the right-hand side, so
+				// repeated rows also form contradictions.
+				rhs[i] = eqs[ri].RHS ^ b>>7
+				sys[i] = Equation{Coeffs: eqs[ri].Coeffs, RHS: rhs[i]}
 			}
 			wantInc, wantOK := ref.check(sys)
 			gotInc, gotOK := s.Check(sys, &scN)
 			if gotInc != wantInc || gotOK != wantOK {
 				t.Fatalf("step %d: Check (%d,%v) != dense (%d,%v)", step, gotInc, gotOK, wantInc, wantOK)
 			}
-			redInc, redOK := rt.CheckSystem(idx, 0, rhs, &scR)
+			redInc, redOK := rd.CheckSystem(idx, int32(off), rhs, &scR)
 			if redInc != wantInc || redOK != wantOK {
 				t.Fatalf("step %d: CheckSystem (%d,%v) != dense (%d,%v)", step, redInc, redOK, wantInc, wantOK)
 			}
@@ -156,6 +169,7 @@ func FuzzSolver(f *testing.F) {
 				if !ok || inc != wantInc {
 					t.Fatalf("step %d: AddSystem (%d,%v) after Check said (%d,true)", step, inc, ok, wantInc)
 				}
+				rd.Load(s)
 				ref.committed = append(ref.committed, sys...)
 				wantRank, _ := ref.eliminate(ref.committed)
 				if s.Rank() != wantRank {

@@ -10,7 +10,7 @@ import (
 // Symbolic expression tables (one row per decompressor output slot) hand
 // their arena to a RowSet so solvers can address equations by row index
 // instead of materialised Equation values. Row sets are shared read-only
-// across concurrent scanner views; the frozentables analyzer
+// across concurrent scanners; the frozentables analyzer
 // (internal/lint) rejects any write through a RowSet.
 //
 // lint:frozen
@@ -45,285 +45,233 @@ func (rs RowSet) Row(i int) Vec {
 	return VecView(rs.n, rs.arena[i*rs.words:(i+1)*rs.words])
 }
 
-// ReducedTable maintains lazily reduced copies of a RowSet's rows against a
-// solver's evolving basis, so that consistency checks over table rows cost
-// O(rows-in-system) word operations instead of a full O(rank) Gaussian
-// re-elimination per row.
-//
-// For every touched row i it caches the residual C'_i (the source row
-// reduced modulo the basis span) and the folded right-hand side δ_i (the
-// RHS parity the basis implies for the eliminated combination), so the
-// equation (row i, rhs) is consistent iff C'_i ≠ 0 or rhs == δ_i.
-//
-// Catch-up is incremental and generation-tagged. A cached residual is, by
-// construction, clear in every pivot column of the basis that produced it,
-// so its intersection with the solver's pivot mask is exactly the set of
-// pivots added since — a stale row only folds in those. That is correct
-// because the basis is kept in reduced row-echelon form: current basis
-// rows have no bits in any other pivot column, so XORing the current row
-// of each newly hit pivot yields the residual w.r.t. the new basis; and
-// for any solution x of the new system, δ_new = (C ⊕ C'_new)·x = δ_old ⊕
-// Σ rhs of the rows folded in (every new-basis solution also satisfies the
-// old basis and the added rows). Solver.Reset bumps a generation counter,
-// invalidating every cached row at once.
-//
-// A ReducedTable must not be used concurrently with basis mutations, and a
-// single ReducedTable must not be shared between goroutines (catch-up
-// mutates the cache); concurrent scanners over one immutable basis each
-// own a ReducedTable.
-type ReducedTable struct {
-	s       *Solver
-	src     RowSet
-	words   int
-	reduced []uint64 // cached residuals, same layout as src
-	delta   []uint8  // folded RHS per row
-	gen     []uint32 // solver generation of the cached copy; 0 = never touched
-}
-
-// NewReducedTable attaches a lazily reduced copy of src to solver s. The
-// solver must have the same variable count as the row width.
-func NewReducedTable(s *Solver, src RowSet) *ReducedTable {
-	if s.n != src.n {
-		panic(fmt.Sprintf("gf2: reduced table width %d != solver variables %d", src.n, s.n))
+// Eval evaluates every row at x and packs the results one bit per row:
+// bit i of dst (word i/64, bit i%64) is row i · x. dst must hold at least
+// ⌈Count/64⌉ words; it is overwritten. With x the unique solution of a
+// full-rank system, the packed bits are the concrete values behind every
+// row, so a row's equation holds iff its bit equals the right-hand side.
+func (rs RowSet) Eval(x Vec, dst []uint64) {
+	if x.n != rs.n {
+		panic(fmt.Sprintf("gf2: evaluating %d-bit rows at a %d-bit vector", rs.n, x.n))
 	}
-	count := src.Count()
-	return &ReducedTable{
-		s:       s,
-		src:     src,
-		words:   src.words,
-		reduced: make([]uint64, len(src.arena)),
-		delta:   make([]uint8, count),
-		gen:     make([]uint32, count),
+	count := rs.Count()
+	for i := range dst[:wordsFor(count)] {
+		dst[i] = 0
+	}
+	if rs.words == 1 {
+		xw := x.words[0]
+		for i, r := range rs.arena {
+			dst[i/wordBits] |= uint64(bits.OnesCount64(r&xw)&1) << (uint(i) % wordBits)
+		}
+		return
+	}
+	for i := 0; i < count; i++ {
+		dst[i/wordBits] |= uint64(rs.Row(i).Dot(x)) << (uint(i) % wordBits)
 	}
 }
 
-// Residual brings row i current against the solver's basis and returns its
-// cached residual together with the folded right-hand side. The returned
-// vector aliases the cache: it is valid until the next Residual or
-// CheckSystem call on this table.
-func (rt *ReducedTable) Residual(i int) (Vec, uint8) {
-	w := rt.words
-	cw := rt.reduced[i*w : (i+1)*w]
-	if rt.gen[i] != rt.s.gen {
-		copy(cw, rt.src.arena[i*w:(i+1)*w])
-		rt.delta[i] = 0
-		rt.gen[i] = rt.s.gen
+// chunkBits is the Four-Russians chunk width: a Reducer looks a row up
+// one byte at a time.
+const chunkBits = 8
+
+// Reducer tests systems of RowSet rows for consistency with a solver's
+// basis by the method of Four Russians (Arlazarov et al., 1970).
+//
+// Because the basis is kept in reduced row-echelon form with each row's
+// pivot as its lowest set bit, reducing a row x against it is linear:
+// reduce(x) = x ⊕ Σ basis[c] over the pivots c set in x, and the
+// right-hand side the basis folds in is δ(x) = Σ rhs[c] over the same
+// pivots. The residual has bits only in the f = n − rank free (non-pivot)
+// columns, so a Reducer records it in free-column coordinates — the i-th
+// free column, ascending, is bit i — with δ in bit f. That keeps the lowest
+// set bit lowest, so pivots, rank and consistency are unchanged, and below
+// 64 free columns every residual, whatever n, fits one word.
+//
+// Load tabulates these (f+1)-bit images of v·2^(8j) for every byte chunk j
+// and byte value v; a row then reduces with one table lookup per byte. The
+// tables hold ⌈n/8⌉·256 entries of ⌈(f+1)/64⌉ words (below 64 free
+// columns 10 KB at n = 39, 22 KB at n = 85), which Load rebuilds in
+// microseconds.
+//
+// A Reducer holds no per-row state. Between Loads it is read-only, so any
+// number of goroutines may call CheckSystem on one Reducer concurrently;
+// Load itself must not overlap CheckSystem.
+type Reducer struct {
+	src    RowSet
+	chunks int      // ⌈n/8⌉ byte chunks per row
+	free   int      // f: free columns of the loaded basis
+	ew     int      // words per table entry: ⌈(f+1)/64⌉
+	tab    []uint64 // entry (j, v) at words [(j·256+v)·ew, +ew)
+	col    []int    // free-column coordinate of each free column
+}
+
+// NewReducer returns a reducer over the rows of src. It must be Loaded
+// with a solver before its first CheckSystem.
+func NewReducer(src RowSet) *Reducer {
+	chunks := (src.n + chunkBits - 1) / chunkBits
+	return &Reducer{
+		src:    src,
+		chunks: chunks,
+		tab:    make([]uint64, chunks<<chunkBits*wordsFor(src.n+1)),
+		col:    make([]int, src.n),
 	}
-	// Masked catch-up on raw words: scan for pivot hits and fold in the
-	// current basis row of each. A basis row's words below its pivot word
-	// are zero (the pivot is its lowest set bit) and XORing it cannot
-	// create hits below the pivot, so the scan resumes at the hit's word.
-	d := rt.delta[i]
-	pv := rt.s.piv.words
-	for wi := 0; wi < w; {
-		m := cw[wi] & pv[wi]
-		if m == 0 {
-			wi++
-			continue
-		}
-		b := wi*wordBits + bits.TrailingZeros64(m)
-		row := rt.s.basis[b*w : (b+1)*w]
-		for j := wi; j < w; j++ {
-			cw[j] ^= row[j]
-		}
-		d ^= rt.s.rhs[b]
+}
+
+// Load tabulates solver s's current basis. It must be called again after
+// every change to the basis (Add, AddSystem, Reset) before the next
+// CheckSystem.
+func (rd *Reducer) Load(s *Solver) {
+	n := rd.src.n
+	if s.n != n {
+		panic(fmt.Sprintf("gf2: reducer width %d != solver variables %d", n, s.n))
 	}
-	rt.delta[i] = d
-	return VecView(rt.src.n, cw), d
+	f := 0
+	for c := 0; c < n; c++ {
+		if !s.occ[c] {
+			rd.col[c] = f
+			f++
+		}
+	}
+	ew := wordsFor(f + 1)
+	rd.free, rd.ew = f, ew
+	tab := rd.tab[:rd.chunks<<chunkBits*ew]
+	clear(tab)
+	set := func(e []uint64, b int) { e[b/wordBits] ^= 1 << (uint(b) % wordBits) }
+	for j := 0; j < rd.chunks; j++ {
+		base := j << chunkBits
+		// Seed the single-bit entries, then fill every other byte value
+		// as the XOR of its lowest bit's entry and the rest's.
+		for b := 0; b < chunkBits; b++ {
+			c := j*chunkBits + b
+			if c >= n {
+				break
+			}
+			e := tab[(base+1<<b)*ew : (base+1<<b+1)*ew]
+			if !s.occ[c] {
+				set(e, rd.col[c])
+				continue
+			}
+			// The basis row of pivot c trades bit c for its free columns
+			// and its right-hand side.
+			for k, bw := range s.basis[c*s.words : (c+1)*s.words] {
+				for bw &^= s.piv.words[k]; bw != 0; bw &= bw - 1 {
+					set(e, rd.col[k*wordBits+bits.TrailingZeros64(bw)])
+				}
+			}
+			if s.rhs[c] != 0 {
+				set(e, f)
+			}
+		}
+		for v := 3; v < 1<<chunkBits; v++ {
+			lo := v & -v
+			if lo == v {
+				continue
+			}
+			e := tab[(base+v)*ew : (base+v+1)*ew]
+			a := tab[(base+lo)*ew : (base+lo+1)*ew]
+			r := tab[(base+v-lo)*ew : (base+v-lo+1)*ew]
+			for k := range e {
+				e[k] = a[k] ^ r[k]
+			}
+		}
+	}
+}
+
+// reduce writes row x's image against the loaded basis into dst (ew
+// words): its residual in free-column coordinates, and δ(x) in bit f.
+func (rd *Reducer) reduce(dst, x []uint64) {
+	ew := rd.ew
+	clear(dst)
+	for j := 0; j < rd.chunks; j++ {
+		v := int(x[j*chunkBits/wordBits]>>(uint(j*chunkBits)%wordBits)) & (1<<chunkBits - 1)
+		i := j<<chunkBits | v
+		for k, e := range rd.tab[i*ew : (i+1)*ew] {
+			dst[k] ^= e
+		}
+	}
 }
 
 // CheckSystem tests whether the system {(src row idx[k]+offset, rhs[k])} is
-// consistent with the solver's basis, without mutating it — the reduced
-// counterpart of Solver.Check. It returns the rank increase the system
-// would cause and whether it is consistent.
+// consistent with the loaded basis, without mutating anything — the
+// table-driven counterpart of Solver.Check. It returns the rank increase
+// the system would cause and whether it is consistent. The offset shifts
+// every index by the same amount, so callers probing one cube at
+// successive window positions pass the position-0 indices plus a
+// per-position stride.
 //
-// Rows already determined by the basis (zero residual) degenerate to a
-// word-masked RHS comparison; only rows still carrying free dimensions pay
-// for the overlay elimination that tracks dependencies within the system.
-// The offset parameter shifts every index by the same amount, so callers
-// probing one cube at successive window positions pass the position-0
-// indices plus a per-position stride.
-func (rt *ReducedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, scratch *CheckScratch) (rankIncrease int, consistent bool) {
-	switch rt.words {
-	case 1:
-		return rt.checkSystem1(idx, offset, rhs)
-	case 2:
-		return rt.checkSystem2(idx, offset, rhs)
+// Each row's image carries its right-hand side in bit f, so eliminating it
+// against an overlay of the system's earlier rows leaves 0 (dependent,
+// consistent), exactly bit f (a contradiction) or a new overlay pivot.
+// Below 64 free columns the overlay lives on the stack; scratch holds it
+// otherwise.
+func (rd *Reducer) CheckSystem(idx []int32, offset int32, rhs []uint8, scratch *CheckScratch) (rankIncrease int, consistent bool) {
+	if rd.ew == 1 {
+		return rd.checkSystem1(idx, offset, rhs)
 	}
-	n := rt.src.n
-	scratch.init(n)
+	f, w := rd.free, rd.src.words
+	scratch.init(f + 1)
 	defer scratch.release()
 	for k, ri := range idx {
-		cur, delta := rt.Residual(int(ri + offset))
-		r := rhs[k]&1 ^ delta
-		if cur.IsZero() {
-			if r != 0 {
-				return 0, false
-			}
-			continue
+		i := int(ri + offset)
+		dst := scratch.getRow(f + 1)
+		rd.reduce(dst.words, rd.src.arena[i*w:(i+1)*w])
+		if rhs[k]&1 != 0 {
+			dst.FlipBit(f)
 		}
-		// The residual may still depend on earlier rows of this system:
-		// eliminate against the overlay only (the basis part is cached).
-		// The fast exit: a residual that hits no overlay pivot is already
-		// fully reduced and becomes a pivot itself without being copied.
-		if b := cur.FirstSetAnd(scratch.overlayMask); b < 0 {
-			// Stored as a view into the cache, not a copy: the overlay is
-			// released before this call returns, and within the call only
-			// first-touch rows are (re)written — never one already served.
-			p := cur.FirstSet()
-			scratch.overlay[p] = cur
-			scratch.overlayRHS[p] = r
-			scratch.overlayMask.SetBit(p, 1)
-			scratch.overlaySet = append(scratch.overlaySet, p)
-			continue
-		}
-		dst := scratch.getRow(n)
-		dst.CopyFrom(cur)
 		for b := dst.FirstSetAnd(scratch.overlayMask); b >= 0; b = dst.FirstSetAnd(scratch.overlayMask) {
 			dst.Xor(scratch.overlay[b])
-			r ^= scratch.overlayRHS[b]
 		}
-		if dst.IsZero() {
-			if r != 0 {
-				return 0, false
-			}
+		p := dst.FirstSet()
+		if p < 0 {
 			scratch.rowPoolNext-- // recycle immediately
 			continue
 		}
-		p := dst.FirstSet()
+		if p == f {
+			return 0, false
+		}
 		scratch.overlay[p] = dst
-		scratch.overlayRHS[p] = r
 		scratch.overlayMask.SetBit(p, 1)
 		scratch.overlaySet = append(scratch.overlaySet, p)
 	}
 	return len(scratch.overlaySet), true
 }
 
-// checkSystem1 is CheckSystem for registers of at most 64 cells (every
-// CI-scale circuit and most of the paper's): rows, pivot masks and the
-// whole overlay collapse to single words on the stack, so one equation is
-// a handful of word operations with no scratch traffic at all.
-func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
-	s := rt.s
-	pv := s.piv.words[0]
-	g := s.gen
+// checkSystem1 is CheckSystem below 64 free columns — every check of a
+// register of at most 63 cells, and every check of a wider one once its
+// seed has 64 or fewer free variables left: a row's image is one word and
+// the overlay lives on the stack.
+func (rd *Reducer) checkSystem1(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
+	f, w := uint(rd.free), rd.src.words
+	tab := rd.tab[:rd.chunks<<chunkBits]
+	arena := rd.src.arena
 	var ovMask uint64
-	var ovRows [64]uint64 // only entries under ovMask are ever read
-	var ovRHS [64]uint8
+	var ovRows [wordBits]uint64 // only entries under ovMask are ever read
 	rank := 0
 	for k, ri := range idx {
-		i := int(ri + offset)
-		x := rt.reduced[i]
-		d := rt.delta[i]
-		if rt.gen[i] != g {
-			x = rt.src.arena[i]
-			d = 0
-			rt.gen[i] = g
-		}
-		for m := x & pv; m != 0; m = x & pv {
-			b := bits.TrailingZeros64(m)
-			x ^= s.basis[b]
-			d ^= s.rhs[b]
-		}
-		rt.reduced[i] = x
-		rt.delta[i] = d
-		r := rhs[k]&1 ^ d
-		if x == 0 {
-			if r != 0 {
-				return 0, false
+		i := int(ri+offset) * w
+		y := uint64(rhs[k]&1) << f
+		for wi, j0 := 0, 0; wi < w; wi, j0 = wi+1, j0+wordBits/chunkBits {
+			for j, x := j0, arena[i+wi]; x != 0; j++ {
+				y ^= tab[j<<chunkBits|int(x&(1<<chunkBits-1))]
+				x >>= chunkBits
 			}
+		}
+		// Eliminate against every overlay row in ascending pivot order,
+		// masked by the pivot bit: the trip count changes only when the
+		// overlay grows, so the loop predicts well.
+		for m := ovMask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			y ^= ovRows[b] & -(y >> uint(b) & 1)
+		}
+		if y == 0 {
 			continue
 		}
-		for m := x & ovMask; m != 0; m = x & ovMask {
-			b := bits.TrailingZeros64(m)
-			x ^= ovRows[b]
-			r ^= ovRHS[b]
+		p := bits.TrailingZeros64(y)
+		if uint(p) == f {
+			return 0, false
 		}
-		if x == 0 {
-			if r != 0 {
-				return 0, false
-			}
-			continue
-		}
-		p := bits.TrailingZeros64(x)
-		ovRows[p] = x
-		ovRHS[p] = r
+		ovRows[p] = y
 		ovMask |= 1 << uint(p)
-		rank++
-	}
-	return rank, true
-}
-
-// checkSystem2 is checkSystem1's twin for registers of 65–128 cells (the
-// paper's s38417 at n=85): two-word rows and masks, overlay on the stack.
-func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
-	s := rt.s
-	pv0, pv1 := s.piv.words[0], s.piv.words[1]
-	g := s.gen
-	var ovMask0, ovMask1 uint64
-	var ovRows [128][2]uint64 // only entries under the masks are ever read
-	var ovRHS [128]uint8
-	rank := 0
-	for k, ri := range idx {
-		i := int(ri+offset) * 2
-		x0, x1 := rt.reduced[i], rt.reduced[i+1]
-		d := rt.delta[i/2]
-		if rt.gen[i/2] != g {
-			x0, x1 = rt.src.arena[i], rt.src.arena[i+1]
-			d = 0
-			rt.gen[i/2] = g
-		}
-		for {
-			var b int
-			if m := x0 & pv0; m != 0 {
-				b = bits.TrailingZeros64(m)
-			} else if m := x1 & pv1; m != 0 {
-				b = wordBits + bits.TrailingZeros64(m)
-			} else {
-				break
-			}
-			x0 ^= s.basis[b*2]
-			x1 ^= s.basis[b*2+1]
-			d ^= s.rhs[b]
-		}
-		rt.reduced[i], rt.reduced[i+1] = x0, x1
-		rt.delta[i/2] = d
-		r := rhs[k]&1 ^ d
-		if x0 == 0 && x1 == 0 {
-			if r != 0 {
-				return 0, false
-			}
-			continue
-		}
-		for {
-			var b int
-			if m := x0 & ovMask0; m != 0 {
-				b = bits.TrailingZeros64(m)
-			} else if m := x1 & ovMask1; m != 0 {
-				b = wordBits + bits.TrailingZeros64(m)
-			} else {
-				break
-			}
-			x0 ^= ovRows[b][0]
-			x1 ^= ovRows[b][1]
-			r ^= ovRHS[b]
-		}
-		if x0 == 0 && x1 == 0 {
-			if r != 0 {
-				return 0, false
-			}
-			continue
-		}
-		var p int
-		if x0 != 0 {
-			p = bits.TrailingZeros64(x0)
-			ovMask0 |= 1 << uint(p)
-		} else {
-			p = wordBits + bits.TrailingZeros64(x1)
-			ovMask1 |= 1 << uint(p-wordBits)
-		}
-		ovRows[p] = [2]uint64{x0, x1}
-		ovRHS[p] = r
 		rank++
 	}
 	return rank, true

@@ -18,15 +18,12 @@ type Equation struct {
 // It maintains a basis of constraint rows in reduced row-echelon form, keyed
 // by pivot column (the lowest set coefficient bit of each row). New
 // constraints can be tested for consistency against the current basis
-// without mutating it (Check/ReducedTable.CheckSystem) or folded in
-// permanently (Add/AddSystem).
+// without mutating it (Check, or Reducer.CheckSystem for rows of a fixed
+// table) or folded in permanently (Add/AddSystem).
 //
 // The basis lives in one contiguous word arena (row p at word offset
 // p·words) with a pivot-column mask, so hot reductions jump straight to
-// pivot hits instead of walking every set bit of a dense row. Reset bumps
-// a generation counter; together with the mask it lets attached
-// ReducedTables catch lazily reduced rows up to the current basis without
-// re-eliminating from scratch.
+// pivot hits instead of walking every set bit of a dense row.
 //
 // This is the engine behind LFSR reseeding: each specified bit of a test
 // cube contributes one Equation relating the LFSR seed variables, and a cube
@@ -39,9 +36,7 @@ type Solver struct {
 	occ   []bool   // occ[p]: basis row with pivot p present
 	rhs   []uint8  // rhs[p] is the right-hand side of row p
 	rank  int
-	piv   Vec    // mask of occupied pivot columns, for masked elimination
-	order []int  // pivots in insertion order — the epoch log for ReducedTable
-	gen   uint32 // bumped by Reset so ReducedTable caches invalidate lazily
+	piv   Vec // mask of occupied pivot columns, for masked elimination
 
 	scratch Vec // reusable reduction buffer for Add
 }
@@ -59,7 +54,6 @@ func NewSolver(n int) *Solver {
 		occ:     make([]bool, n),
 		rhs:     make([]uint8, n),
 		piv:     NewVec(n),
-		gen:     1,
 		scratch: NewVec(n),
 	}
 }
@@ -79,8 +73,7 @@ func (s *Solver) row(p int) Vec {
 	return VecView(s.n, s.basis[p*s.words:(p+1)*s.words])
 }
 
-// Clone returns an independent deep copy of the solver. ReducedTables
-// attached to the original do not follow the clone.
+// Clone returns an independent deep copy of the solver.
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
 		n:       s.n,
@@ -90,15 +83,12 @@ func (s *Solver) Clone() *Solver {
 		rhs:     append([]uint8(nil), s.rhs...),
 		rank:    s.rank,
 		piv:     s.piv.Clone(),
-		order:   append([]int(nil), s.order...),
-		gen:     s.gen,
 		scratch: NewVec(s.n),
 	}
 	return c
 }
 
-// Reset discards all constraints. Attached ReducedTables notice through the
-// generation counter and refresh their cached rows lazily.
+// Reset discards all constraints.
 func (s *Solver) Reset() {
 	for i := range s.occ {
 		s.occ[i] = false
@@ -106,8 +96,6 @@ func (s *Solver) Reset() {
 	}
 	s.rank = 0
 	s.piv.Zero()
-	s.order = s.order[:0]
-	s.gen++
 }
 
 // reduceInto copies eq into dst (which must be an n-bit scratch vector) and
@@ -140,7 +128,7 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	p := s.scratch.FirstSet()
 	// Keep reduced row-echelon form: clear the new pivot from all existing
 	// rows so Solution extraction stays a single pass.
-	for _, q := range s.order {
+	for q := s.piv.FirstSet(); q >= 0; q = s.piv.NextSet(q + 1) {
 		if row := s.row(q); row.Bit(p) != 0 {
 			row.Xor(s.scratch)
 			s.rhs[q] ^= r
@@ -151,7 +139,6 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	s.piv.SetBit(p, 1)
 	s.rhs[p] = r
 	s.rank++
-	s.order = append(s.order, p)
 	return true, true
 }
 
@@ -192,7 +179,9 @@ func (sc *CheckScratch) init(n int) {
 		sc.overlayRHS = make([]uint8, n)
 	}
 	if sc.overlayMask.Len() != n {
+		// A new width: pooled rows of the old one no longer fit.
 		sc.overlayMask = NewVec(n)
+		sc.rowPool = sc.rowPool[:0]
 	}
 	sc.overlaySet = sc.overlaySet[:0]
 	sc.rowPoolNext = 0
@@ -226,8 +215,8 @@ func (sc *CheckScratch) getRow(n int) Vec {
 //
 // Check re-eliminates every equation against the full basis; when the
 // coefficient rows come from a fixed table that is probed repeatedly as the
-// basis grows (the encoder's candidate scan), ReducedTable.CheckSystem does
-// the same test in O(spec) by caching reduced rows.
+// basis grows (the encoder's candidate scan), Reducer.CheckSystem does the
+// same test with one table lookup per byte of each row.
 func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int, consistent bool) {
 	scratch.init(s.n)
 	defer scratch.release()

@@ -221,11 +221,12 @@ func TestSolverPivots(t *testing.T) {
 }
 
 // BenchmarkSolverCheck compares the naive per-check re-elimination against
-// the reduced-basis path at the paper's register sizes (n=24 is s13207,
-// n=85 is s38417, the largest). The "reduced" variant is the encoder's hot
-// loop: a fixed table of rows probed repeatedly as the basis grows.
+// the table-driven Reducer at the paper's register sizes (n=24 is CI
+// s9234, n=39 and 44 are embed_paper's s15850 and s9234, n=85 is s38417,
+// the largest). The "reduced" variant is the encoder's hot loop: a fixed
+// table of rows probed against a loaded basis.
 func BenchmarkSolverCheck(b *testing.B) {
-	for _, n := range []int{24, 85} {
+	for _, n := range []int{24, 39, 44, 85} {
 		src := prng.New(1)
 		s := NewSolver(n)
 		for i := 0; i < n/2; i++ {
@@ -251,10 +252,11 @@ func BenchmarkSolverCheck(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/reduced", n), func(b *testing.B) {
 			b.ReportAllocs()
-			rt := NewReducedTable(s, NewRowSet(n, arena))
+			rd := NewReducer(NewRowSet(n, arena))
+			rd.Load(s)
 			var sc CheckScratch
 			for i := 0; i < b.N; i++ {
-				rt.CheckSystem(idx, 0, rhs, &sc)
+				rd.CheckSystem(idx, 0, rhs, &sc)
 			}
 		})
 	}
